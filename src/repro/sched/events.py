@@ -13,6 +13,11 @@ answers the first case with a single comparison against the last interval
 end, and tracks a "no interior gaps" flag so the second case skips the
 bisect+scan entirely; the general gap-scan only runs for timelines that
 actually fragmented.
+
+``next_fit`` is the only fit.  :meth:`Pool.reserve_named`, the joint
+(channel, array) fit of :func:`reserve_pair` and the orchestrator's array
+choice all call it, so the fast-path state stays private to
+:class:`Timeline`.
 """
 
 from __future__ import annotations
@@ -39,11 +44,6 @@ class Timeline:
     #: Cached ``_ends[-1]`` (-inf while empty): the append fast path tests
     #: one float attribute instead of touching the interval lists.
     _last_end: float = field(default=float("-inf"), repr=False)
-
-    @property
-    def free_at(self) -> float:
-        """Time after the last reservation (no gaps considered)."""
-        return self._ends[-1] if self._ends else 0.0
 
     def next_fit(self, earliest: float, duration: float) -> float:
         """Earliest start ≥ ``earliest`` with an idle gap of ``duration``."""
@@ -79,9 +79,9 @@ class Timeline:
     def _insert(self, start: float, duration: float) -> Tuple[float, float]:
         """Record a reservation at an already-validated fit position.
 
-        Callers must have obtained ``start`` from :meth:`next_fit` (or an
-        equivalent joint fit) with the same ``duration``; no overlap check
-        is repeated here.
+        Callers must have obtained ``start`` from :meth:`next_fit` (or
+        :func:`reserve_pair`'s joint fit) with the same ``duration``; no
+        overlap check is repeated here.
         """
         end = start + duration
         self.reservations += 1
@@ -125,94 +125,30 @@ class Timeline:
         return self.busy_seconds / makespan if makespan > 0 else 0.0
 
 
-def common_start(earliest: float, requests: List[Tuple["Timeline", float]]
-                 ) -> float:
-    """Earliest time at which every (timeline, duration) request fits.
+def reserve_pair(earliest: float, first: "Timeline", first_duration: float,
+                 second: "Timeline", second_duration: float) -> float:
+    """Reserve ``first`` and ``second`` from one common start, the earliest
+    at or after ``earliest`` where both are idle for their durations.
 
     Used when a dataflow must hold its link channel and its systolic array
-    from the same instant.
-    """
-    candidate = earliest
-    for _ in range(10000):
-        moved = False
-        for timeline, duration in requests:
-            fit = timeline.next_fit(candidate, duration)
-            if fit > candidate:
-                candidate = fit
-                moved = True
-        if not moved:
-            return candidate
-    raise RuntimeError("common_start failed to converge")
-
-
-def reserve_pair2(earliest: float, first: "Timeline", first_duration: float,
-                  second: "Timeline", second_duration: float) -> float:
-    """:func:`reserve_pair` for exactly two requests, without the list.
-
-    The orchestrator's (channel, array) case: unrolls the convergence
-    loop over the pair, visiting the requests in the same order as
-    ``common_start`` so every intermediate candidate is identical.  The
-    O(1) append/gapless fits of :meth:`Timeline.next_fit` are inlined
-    (same branches, same float expressions); only a fragmented timeline
-    falls back to the general scan.
-    """
-    if first_duration < 0 or second_duration < 0:
-        raise ValueError("duration must be non-negative")
-    candidate = earliest
-    for _ in range(10000):
-        last = first._last_end
-        if candidate >= last:
-            fit = candidate
-        elif first._gapless and first_duration > 0:
-            fit = (candidate
-                   if first._starts[0] - candidate >= first_duration
-                   else last)
-        else:
-            fit = first.next_fit(candidate, first_duration)
-        moved = fit > candidate
-        if moved:
-            candidate = fit
-        last = second._last_end
-        if candidate >= last:
-            fit = candidate
-        elif second._gapless and second_duration > 0:
-            fit = (candidate
-                   if second._starts[0] - candidate >= second_duration
-                   else last)
-        else:
-            fit = second.next_fit(candidate, second_duration)
-        if fit > candidate:
-            candidate = fit
-            moved = True
-        if not moved:
-            first._insert(candidate, first_duration)
-            second._insert(candidate, second_duration)
-            return candidate
-    raise RuntimeError("common_start failed to converge")
-
-
-def reserve_pair(earliest: float, requests: List[Tuple["Timeline", float]]
-                 ) -> float:
-    """Find the joint fit and reserve every request at it, in one pass.
-
-    Fuses :func:`common_start` with the per-timeline ``reserve_at`` calls:
-    the convergence loop's final iteration already proved the candidate
-    fits every timeline, so the reservations are recorded directly instead
-    of re-running ``next_fit`` once to validate and once more to place
-    (three fits per timeline reduced to one).  Placements are identical to
-    ``common_start`` + ``reserve_at`` per timeline.
+    from the same instant.  Alternates :meth:`Timeline.next_fit` over the
+    pair until neither pushes the candidate later; every fit is either the
+    candidate or an interval end, so the loop terminates.  The final pass
+    proved the start fits both timelines, so it is reserved directly.
 
     Returns:
-        The common start time; request ``i`` occupies
-        ``[start, start + duration_i)`` on its timeline.
+        The common start; ``first`` occupies ``[start, start +
+        first_duration)`` and ``second`` ``[start, start + second_duration)``.
     """
-    if len(requests) == 2:
-        (first, first_duration), (second, second_duration) = requests
-        return reserve_pair2(earliest, first, first_duration,
-                             second, second_duration)
-    start = common_start(earliest, requests)
-    for timeline, duration in requests:
-        timeline._insert(start, duration)
+    start = earliest
+    while True:
+        fit = second.next_fit(first.next_fit(start, first_duration),
+                              second_duration)
+        if fit == start:
+            break
+        start = fit
+    first._insert(start, first_duration)
+    second._insert(start, second_duration)
     return start
 
 

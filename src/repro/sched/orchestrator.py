@@ -21,12 +21,12 @@ from typing import Dict, List, Optional, Tuple
 
 from ..arch.config import HardwareConfig
 from ..arch.interconnect import DISPATCH_OVERHEAD_SECONDS
-from ..arch.timing import DataflowTiming, dataflow_signature, time_dataflow
+from ..arch.timing import dataflow_signature, time_dataflow
 from ..dataflow.graph import DataflowGraph, HostTask
 from ..dataflow.patterns import ArrayType, Dataflow
 from ..model.config import BertConfig
 from ..telemetry import MetricsRegistry, Tracer
-from .events import Pool, Timeline, reserve_pair, reserve_pair2
+from .events import Pool, Timeline, reserve_pair
 from .host import HostModel
 
 #: Default growth of per-dispatch mutex overhead per extra thread.
@@ -126,26 +126,15 @@ class Orchestrator:
         dispatch_overhead: base per-transfer software overhead in seconds.
     """
 
-    #: Array-selection policies.  "earliest_finish" (default) projects
-    #: each candidate array's completion time; "round_robin" rotates
-    #: through the group; "first_free" takes the array that frees first
-    #: regardless of size.
-    POLICIES = ("earliest_finish", "round_robin", "first_free")
-
     def __init__(self, hardware: HardwareConfig,
                  host: Optional[HostModel] = None,
                  contention_coefficient: float = CONTENTION_COEFFICIENT,
-                 dispatch_overhead: float = DISPATCH_OVERHEAD_SECONDS,
-                 policy: str = "earliest_finish") -> None:
-        if policy not in self.POLICIES:
-            raise ValueError(
-                f"unknown policy '{policy}'; choose from {self.POLICIES}")
+                 dispatch_overhead: float = DISPATCH_OVERHEAD_SECONDS
+                 ) -> None:
         self.hardware = hardware
         self.host = host or HostModel()
         self.contention_coefficient = contention_coefficient
         self.dispatch_overhead = dispatch_overhead
-        self.policy = policy
-        self._round_robin_state: Dict[ArrayType, int] = {}
 
     # ------------------------------------------------------------------
 
@@ -172,8 +161,11 @@ class Orchestrator:
             tracer: optional span tracer.  When given, every task gets a
                 span on its thread track and every Timeline reservation
                 (array segment, link-channel hold, host slot) gets a
-                span on its resource track; ``None`` keeps the schedule
-                bit-identical with near-zero overhead.
+                span on its resource track.  Placement is the same code
+                either way: it only records each segment's start, end
+                and host slot, and the spans are built from those
+                records after the task is placed, so the schedule is
+                bit-identical with or without a tracer.
             metrics: optional registry accumulating dispatch counters,
                 byte counters, per-task latency histograms, and final
                 occupancy gauges.
@@ -222,21 +214,18 @@ class Orchestrator:
 
         per_dispatch = self.dispatch_overhead * (
             1.0 + self.contention_coefficient * (thread_count - 1))
-        # Timings are memoized by *content* signature (shape/op tuple), not
-        # node identity, so the identical encoder layers share one entry.
-        # Each distinct node object additionally interns a placement *plan*
-        # (signature, candidate members, channel, bandwidth, kind label,
-        # uniform-size timing) so none of it is recomputed per dispatch.
-        timing_cache: Dict[Tuple[int, int], DataflowTiming] = {}
-        interned_signatures: Dict[Tuple, int] = {}
-        # Keyed by node identity; a float is an interned HostTask duration,
-        # a tuple is a dataflow placement plan.
+        # Placement plans are built once per *content* signature (shape/op
+        # tuple), not per node, so the identical encoder layers share one;
+        # each node object then caches its plan by identity.  A float plan
+        # is an interned HostTask duration.
+        signature_plans: Dict[Tuple, Tuple] = {}
         node_plans: Dict[int, object] = {}
-        pooled_members: Optional[List[Tuple[Timeline, int]]] = None
+        members = arrays
         if self.hardware.pooled:
             # Homogeneous baseline: every array carries both LUT kinds and
             # can execute any dataflow (Table 2's 64×64 GELU+Exp row).
-            pooled_members = [m for group in arrays.values() for m in group]
+            pooled = [m for group in arrays.values() for m in group]
+            members = {t: pooled for t in ArrayType}
         total_bytes = 0
         total_dispatches = 0
         contention_seconds = 0.0
@@ -254,8 +243,10 @@ class Orchestrator:
         thread_nodes = [graphs[sub].nodes for sub in sub_batches]
         thread_node_counts = [len(nodes) for nodes in thread_nodes]
         pointers = [0] * thread_count
-        clocks = [0.0] * thread_count
         task_log: List[TaskRecord] = []
+        # Per-segment (start, end, host slot) records of the task being
+        # placed; only kept when tracing.
+        segment_log: Optional[List[Tuple]] = [] if tracer is not None else None
         heap = [(0.0, t) for t in range(thread_count)]
         heapq.heapify(heap)
         while heap:
@@ -269,7 +260,6 @@ class Orchestrator:
             # thread's graph and the thread walks it serially in index
             # order, so every dep had its final finish time (and the
             # thread its final clock) when the key was pushed.
-            actual_ready = ready
             plan = node_plans.get(id(node))
             if plan is None:
                 if isinstance(node, HostTask):
@@ -277,14 +267,16 @@ class Orchestrator:
                     # a float plan *is* the type tag for the host branch.
                     plan = float(self.host.task_seconds(node.ops))
                 else:
-                    plan = self._build_plan(node, arrays, pooled_members,
-                                            channels, timing_cache,
-                                            interned_signatures,
-                                            per_dispatch)
+                    signature = dataflow_signature(node)
+                    plan = signature_plans.get(signature)
+                    if plan is None:
+                        array_type = node.array_type
+                        plan = self._plan(node, members[array_type],
+                                          channels[array_type], per_dispatch)
+                        signature_plans[signature] = plan
                 node_plans[id(node)] = plan
             if type(plan) is float:
-                start, end, server = host_pool.reserve_named(
-                    actual_ready, plan)
+                start, end, server = host_pool.reserve_named(ready, plan)
                 resource_label = "host"
                 kind_label = "host"
                 if tracer is not None:
@@ -293,19 +285,16 @@ class Orchestrator:
                         pid=trace_pid, tid=server, category="host",
                         ops=len(node.ops), flops=node.flops)
             else:
-                if tracer is None:
-                    start, end, resource_label, timing = \
-                        self._schedule_dataflow_fast(
-                            node, actual_ready, plan, host_pool,
-                            timing_cache, per_dispatch)
-                else:
-                    start, end, resource_label, timing = \
-                        self._schedule_dataflow(
-                            node, actual_ready, sub, node_index, plan,
-                            host_pool, timing_cache, per_dispatch,
-                            tracer=tracer, trace_pid=trace_pid,
-                            trace_offset=trace_offset)
-                kind_label = plan[4]
+                start, end, candidate = self._place(ready, plan, host_pool,
+                                                    segment_log)
+                resource_label = candidate[0].name
+                kind_label = plan[1]
+                timing = candidate[2]
+                if tracer is not None:
+                    self._trace_segments(
+                        tracer, node, sub, node_index, plan[0], candidate,
+                        segment_log, trace_pid, trace_offset)
+                    segment_log.clear()
                 total_bytes += timing.total_stream_bytes
                 accel_segments = timing.accel_segments
                 total_dispatches += accel_segments
@@ -316,7 +305,7 @@ class Orchestrator:
             if record_tasks:
                 task_log.append(TaskRecord(
                     thread=thread_index, name=node.name, kind=kind_label,
-                    ready=actual_ready, start=start, end=end,
+                    ready=ready, start=start, end=end,
                     resource=resource_label))
             if tracer is not None:
                 tracer.add_span(
@@ -324,11 +313,10 @@ class Orchestrator:
                     pid=trace_pid, tid=f"thread{thread_index:02d}",
                     category="task", kind=kind_label,
                     resource=resource_label, sub_batch=sub,
-                    ready=actual_ready, node=node_index)
+                    ready=ready, node=node_index)
             if metrics is not None:
                 metrics.histogram("sched/task_seconds").observe(end - start)
             finish[node_index] = end
-            clocks[thread_index] = end
             if end > makespan:
                 makespan = end
             next_index = node_index + 1
@@ -376,7 +364,7 @@ class Orchestrator:
                 "orchestrator.run", trace_offset, trace_offset + makespan,
                 pid=trace_pid, tid="schedule", category="run",
                 batch=batch, seq_len=seq_len, threads=thread_count,
-                policy=self.policy, dispatches=total_dispatches,
+                dispatches=total_dispatches,
                 stream_bytes=total_bytes,
                 host_slots=self.host.slots,
                 bottleneck=result.bottleneck, **inventory)
@@ -405,257 +393,132 @@ class Orchestrator:
 
     # ------------------------------------------------------------------
 
-    def _build_plan(self, dataflow: Dataflow,
-                    arrays: Dict[ArrayType, List[Tuple[Timeline, int]]],
-                    pooled_members: Optional[List[Tuple[Timeline, int]]],
-                    channels: Dict[ArrayType, Timeline],
-                    cache: Dict[Tuple[int, int], DataflowTiming],
-                    interned_signatures: Dict[Tuple, int],
-                    per_dispatch: float) -> Tuple:
-        """Intern everything about placing ``dataflow`` that is invariant
-        across dispatches: its content signature, the candidate arrays,
-        the link channel, the channel bandwidth, the kind label, and —
-        when every candidate has the same size under the earliest-finish
-        policy — the one shared :class:`DataflowTiming` plus the fully
-        folded per-segment reservation constants (channel hold and joint
-        duration depend only on the timing, the bandwidth, and the run's
-        per-dispatch overhead, so they are computed once here with the
-        exact float expressions the dispatch loop used)."""
-        content = dataflow_signature(dataflow)
-        signature = interned_signatures.get(content)
-        if signature is None:
-            signature = len(interned_signatures)
-            interned_signatures[content] = signature
-        array_type = dataflow.array_type
-        members = (pooled_members if pooled_members is not None
-                   else arrays[array_type])
+    def _plan(self, dataflow: Dataflow,
+              members: List[Tuple[Timeline, int]], channel: Timeline,
+              per_dispatch: float) -> Tuple:
+        """Everything about placing ``dataflow`` that is fixed for the run.
+
+        Returns ``(channel, kind label, shortest duration, candidates)``,
+        one candidate ``(timeline, size, timing, duration, segments)`` per
+        member array, where members of one size share a :meth:`_timing`.
+        """
         if not members:
             raise ValueError(
-                f"no {array_type.value}-Type arrays provisioned")
-        bandwidth = self.hardware.type_bandwidth(array_type)
-        uniform_timing: Optional[DataflowTiming] = None
-        seg_plan: Optional[Tuple[Tuple[bool, float, float], ...]] = None
-        sizes = {size for _, size in members}
-        if len(sizes) == 1 and self.policy == "earliest_finish":
-            uniform_timing = self._timing(dataflow, next(iter(sizes)),
-                                          signature, cache)
-            folded = []
-            for segment in uniform_timing.segments:
-                if segment.resource == "host":
-                    folded.append((True, segment.compute_seconds, 0.0))
-                    continue
-                stream_seconds = (segment.stream_bytes / bandwidth
-                                  if bandwidth > 0 else 0.0)
-                folded.append((
-                    False, per_dispatch + stream_seconds,
-                    max(segment.compute_seconds, stream_seconds)
-                    + per_dispatch))
-            seg_plan = tuple(folded)
-        return (signature, members, channels[array_type], bandwidth,
-                dataflow.kind.value, uniform_timing, seg_plan)
+                f"no {dataflow.array_type.value}-Type arrays provisioned")
+        bandwidth = self.hardware.type_bandwidth(dataflow.array_type)
+        by_size: Dict[int, Tuple] = {}
+        candidates = []
+        for timeline, size in members:
+            if size not in by_size:
+                by_size[size] = self._timing(dataflow, size, bandwidth,
+                                             per_dispatch)
+            candidates.append((timeline, size) + by_size[size])
+        shortest = min(candidate[3] for candidate in candidates)
+        return (channel, dataflow.kind.value, shortest, tuple(candidates))
 
-    def _pick(self, dataflow: Dataflow, ready: float, plan: Tuple,
-              cache: Dict[Tuple[int, int], DataflowTiming]
-              ) -> Tuple[Timeline, int, DataflowTiming]:
-        """Resolve (timeline, size, timing) for one dispatch of ``plan``."""
-        signature = plan[0]
-        members = plan[1]
-        uniform_timing = plan[5]
-        if uniform_timing is None:
-            timeline, size = self._select_array(dataflow, ready, signature,
-                                                members, cache)
-            return timeline, size, self._timing(dataflow, size, signature,
-                                                cache)
-        # Earliest-finish over same-size candidates: every projection
-        # shares one duration, so minimizing the finish time means
-        # minimizing the fit — and the first member that can start
-        # right at `ready` is exactly the first minimum (any earlier
-        # member fit strictly later), ending the scan immediately.
-        # The gapless/append fit checks mirror Timeline.next_fit.
-        timing = uniform_timing
-        duration = timing.accel_compute_seconds
-        best = None
-        best_finish = 0.0
-        for member in members:
-            timeline = member[0]
-            last = timeline._last_end
-            if ready >= last:
-                best = member
-                break
-            if timeline._gapless and duration > 0:
-                if timeline._starts[0] - ready >= duration:
-                    fit = ready
-                else:
-                    fit = last
-            else:
-                fit = timeline.next_fit(ready, duration)
-            if fit == ready:
-                best = member
-                break
-            finish = fit + duration
-            if best is None or finish < best_finish:
-                best = member
-                best_finish = finish
-        timeline, size = best
-        return timeline, size, timing
+    @staticmethod
+    def _place(ready: float, plan: Tuple, host_pool: Pool,
+               segment_log: Optional[List[Tuple]]
+               ) -> Tuple[float, float, Tuple]:
+        """Place one dispatch of ``plan`` on the array that finishes it
+        earliest.
 
-    def _schedule_dataflow_fast(self, dataflow: Dataflow, ready: float,
-                                plan: Tuple, host_pool: Pool,
-                                cache: Dict[Tuple[int, int], DataflowTiming],
-                                per_dispatch: float
-                                ) -> Tuple[float, float, str, DataflowTiming]:
-        """Untraced :meth:`_schedule_dataflow`: identical placement
-        arithmetic with no span bookkeeping and no per-segment tuples."""
-        timeline, _size, timing = self._pick(dataflow, ready, plan, cache)
-        channel = plan[2]
-        clock = ready
-        first_start: Optional[float] = None
-        seg_plan = plan[6]
-        if seg_plan is not None:
-            # Stream/hold/duration were folded into the plan (identical
-            # expressions); only the joint reservation remains per segment.
-            for is_host, hold, duration in seg_plan:
-                if is_host:
-                    _seg_start, clock, _server = host_pool.reserve_named(
-                        clock, hold)
-                    continue
-                start = reserve_pair2(clock, channel, hold,
-                                      timeline, duration)
-                clock = start + duration
-                if first_start is None:
-                    first_start = start
-            return (first_start if first_start is not None else ready,
-                    clock, timeline.name, timing)
-        bandwidth = plan[3]
-        for segment in timing.segments:
-            if segment.resource == "host":
-                _seg_start, clock, _server = host_pool.reserve_named(
-                    clock, segment.compute_seconds)
-                continue
-            stream_seconds = (segment.stream_bytes / bandwidth
-                              if bandwidth > 0 else 0.0)
-            channel_hold = per_dispatch + stream_seconds
-            duration = (max(segment.compute_seconds, stream_seconds)
-                        + per_dispatch)
-            start = reserve_pair2(clock, channel, channel_hold,
-                                  timeline, duration)
-            clock = start + duration
-            if first_start is None:
-                first_start = start
-        return (first_start if first_start is not None else ready,
-                clock, timeline.name, timing)
-
-    def _schedule_dataflow(self, dataflow: Dataflow, ready: float, sub: int,
-                           node_index: int, plan: Tuple,
-                           host_pool: Pool,
-                           cache: Dict[Tuple[int, int], DataflowTiming],
-                           per_dispatch: float,
-                           tracer: Optional[Tracer] = None,
-                           trace_pid: str = "instance0",
-                           trace_offset: float = 0.0
-                           ) -> Tuple[float, float, str, DataflowTiming]:
-        """Place one dataflow's segments.
-
-        When tracing, every reservation this placement makes becomes one
-        span: array holds on the array's track (category ``exec``),
-        channel holds on the link track (``stream``), host-side segments
-        on the chosen host slot's track (``host``).
+        Ties go to the first candidate, except that the first one able to
+        start at ``ready`` with the shortest duration is taken at once:
+        nothing can finish before it.  Each accelerator segment then holds
+        the type's link channel and the array from one common start (the
+        stream feeds the array directly; there is no local scratchpad), and
+        host segments take the earliest host slot.  When ``segment_log`` is
+        given, every segment appends ``(start, end, host slot or None)``.
 
         Returns:
-            (start, end, resource label, timing) of the placed dataflow.
+            (start, end, chosen candidate) of the placed dataflow.
         """
-        channel = plan[2]
-        bandwidth = plan[3]
-        timeline, size, timing = self._pick(dataflow, ready, plan, cache)
+        channel, _kind, shortest, candidates = plan
+        best = candidates[0]
+        best_finish = float("inf")
+        for candidate in candidates:
+            duration = candidate[3]
+            fit = candidate[0].next_fit(ready, duration)
+            if fit == ready and duration == shortest:
+                best = candidate
+                break
+            finish = fit + duration
+            if finish < best_finish:
+                best, best_finish = candidate, finish
+        timeline = best[0]
         clock = ready
         first_start: Optional[float] = None
-        for segment_index, segment in enumerate(timing.segments):
+        for is_host, hold, duration in best[4]:
+            if is_host:
+                start, clock, server = host_pool.reserve_named(clock, hold)
+            else:
+                start = reserve_pair(clock, channel, hold, timeline, duration)
+                clock = start + duration
+                server = None
+                if first_start is None:
+                    first_start = start
+            if segment_log is not None:
+                segment_log.append((start, clock, server))
+        return (first_start if first_start is not None else ready, clock,
+                best)
+
+    @staticmethod
+    def _trace_segments(tracer: Tracer, dataflow: Dataflow, sub: int,
+                        node_index: int, channel: Timeline,
+                        candidate: Tuple, segment_log: List[Tuple],
+                        trace_pid: str, trace_offset: float) -> None:
+        """Emit one span per reservation :meth:`_place` logged: array holds
+        on the array's track (category ``exec``), channel holds on the link
+        track (``stream``), host-side segments on the chosen host slot's
+        track (``host``)."""
+        timeline, size, timing, _duration, segments = candidate
+        array_type = dataflow.array_type.value
+        for index, (segment, (is_host, hold, _), (start, end, server)) in \
+                enumerate(zip(timing.segments, segments, segment_log)):
+            if is_host:
+                tracer.add_span(
+                    f"{dataflow.name}:host{index}",
+                    trace_offset + start, trace_offset + end,
+                    pid=trace_pid, tid=server, category="host",
+                    sub_batch=sub, node=node_index)
+                continue
+            tracer.add_span(
+                f"{dataflow.name}:xfer{index}",
+                trace_offset + start, trace_offset + start + hold,
+                pid=trace_pid, tid=channel.name, category="stream",
+                bytes=segment.stream_bytes, sub_batch=sub, node=node_index,
+                array_type=array_type)
+            tracer.add_span(
+                f"{dataflow.name}:seg{index}",
+                trace_offset + start, trace_offset + end,
+                pid=trace_pid, tid=timeline.name, category="exec",
+                compute_seconds=segment.compute_seconds, array_size=size,
+                sub_batch=sub, node=node_index, array_type=array_type)
+
+    def _timing(self, dataflow: Dataflow, size: int, bandwidth: float,
+                per_dispatch: float) -> Tuple:
+        """``(timing, accelerator duration, segments)`` of ``dataflow`` on
+        a ``size`` array, each segment folded to ``(is_host, hold,
+        duration)``.
+
+        The mutex-guarded per-type I/O buffer serializes each dispatch on
+        the channel: lock acquisition plus transfer setup (``per_dispatch``,
+        growing with thread contention), then the stream itself.  A host
+        segment holds a host slot for its compute time.
+        """
+        timing = time_dataflow(
+            dataflow, size, self.hardware,
+            host_elementwise_throughput=self.host.elementwise_throughput)
+        segments = []
+        for segment in timing.segments:
             if segment.resource == "host":
-                seg_start, clock, server = host_pool.reserve_named(
-                    clock, segment.compute_seconds)
-                if tracer is not None:
-                    tracer.add_span(
-                        f"{dataflow.name}:host{segment_index}",
-                        trace_offset + seg_start, trace_offset + clock,
-                        pid=trace_pid, tid=server, category="host",
-                        sub_batch=sub, node=node_index)
+                segments.append((True, segment.compute_seconds, 0.0))
                 continue
             stream_seconds = (segment.stream_bytes / bandwidth
                               if bandwidth > 0 else 0.0)
-            # The mutex-guarded per-type I/O buffer serializes each
-            # dispatch on the channel: lock acquisition + transfer setup
-            # (per_dispatch, growing with thread contention) then the
-            # stream itself.  The array is held from the same instant —
-            # the stream feeds it directly (no local scratchpad).
-            channel_hold = per_dispatch + stream_seconds
-            duration = (max(segment.compute_seconds, stream_seconds)
-                        + per_dispatch)
-            start = reserve_pair(clock, [(channel, channel_hold),
-                                         (timeline, duration)])
-            clock = start + duration
-            if tracer is not None:
-                tracer.add_span(
-                    f"{dataflow.name}:xfer{segment_index}",
-                    trace_offset + start,
-                    trace_offset + start + channel_hold,
-                    pid=trace_pid, tid=channel.name, category="stream",
-                    bytes=segment.stream_bytes, sub_batch=sub,
-                    node=node_index,
-                    array_type=dataflow.array_type.value)
-                tracer.add_span(
-                    f"{dataflow.name}:seg{segment_index}",
-                    trace_offset + start, trace_offset + clock,
-                    pid=trace_pid, tid=timeline.name, category="exec",
-                    compute_seconds=segment.compute_seconds,
-                    array_size=size, sub_batch=sub, node=node_index,
-                    array_type=dataflow.array_type.value)
-            if first_start is None:
-                first_start = start
-        return (first_start if first_start is not None else ready, clock,
-                timeline.name, timing)
-
-    def _select_array(self, dataflow: Dataflow, ready: float,
-                      signature: int,
-                      members: List[Tuple[Timeline, int]],
-                      cache: Dict[Tuple[int, int], DataflowTiming]
-                      ) -> Tuple[Timeline, int]:
-        """Pick an array for ``dataflow`` according to the policy."""
-        if self.policy == "round_robin":
-            index = self._round_robin_state.get(dataflow.array_type, 0)
-            self._round_robin_state[dataflow.array_type] = \
-                (index + 1) % len(members)
-            return members[index % len(members)]
-        if self.policy == "first_free":
-            return min(members,
-                       key=lambda member: member[0].next_fit(ready, 0.0))
-
-        # earliest_finish: project each candidate's completion time from
-        # its precomputed compute duration (one timing per distinct array
-        # size — members of the same size share it).  Strict `<` keeps the
-        # first of tied projections, matching `min` over the member order.
-        durations: Dict[int, float] = {}
-        best_member: Optional[Tuple[Timeline, int]] = None
-        best_finish = 0.0
-        for member in members:
-            timeline, size = member
-            duration = durations.get(size)
-            if duration is None:
-                duration = self._timing(dataflow, size, signature,
-                                        cache).accel_compute_seconds
-                durations[size] = duration
-            finish = timeline.next_fit(ready, duration) + duration
-            if best_member is None or finish < best_finish:
-                best_member, best_finish = member, finish
-        return best_member
-
-    def _timing(self, dataflow: Dataflow, size: int, signature: int,
-                cache: Dict[Tuple[int, int], DataflowTiming]
-                ) -> DataflowTiming:
-        key = (signature, size)
-        timing = cache.get(key)
-        if timing is None:
-            timing = time_dataflow(
-                dataflow, size, self.hardware,
-                host_elementwise_throughput=self.host.elementwise_throughput)
-            cache[key] = timing
-        return timing
+            segments.append((
+                False, per_dispatch + stream_seconds,
+                max(segment.compute_seconds, stream_seconds)
+                + per_dispatch))
+        return timing, timing.accel_compute_seconds, tuple(segments)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sched import Pool, Timeline
-from repro.sched.events import common_start, reserve_pair
+from repro.sched.events import reserve_pair
 
 
 def legacy_next_fit(timeline: Timeline, earliest: float,
@@ -25,6 +25,22 @@ def legacy_next_fit(timeline: Timeline, earliest: float,
             return candidate
         candidate = max(candidate, ends[index])
         index += 1
+    return candidate
+
+
+def common_start(earliest: float, requests) -> float:
+    """Reference joint fit: the earliest time at which every (timeline,
+    duration) request fits, by a fixed-point loop over
+    :func:`legacy_next_fit`."""
+    candidate = earliest
+    moved = True
+    while moved:
+        moved = False
+        for timeline, duration in requests:
+            fit = legacy_next_fit(timeline, candidate, duration)
+            if fit > candidate:
+                candidate = fit
+                moved = True
     return candidate
 
 
@@ -190,43 +206,57 @@ class TestReservePairParity:
     @settings(max_examples=100, deadline=None)
     def test_matches_common_start_plus_reserve_at(self, requests):
         """reserve_pair on (channel, array) pairs must produce the same
-        starts and the same timeline state as the legacy three-fit
-        sequence, reservation by reservation."""
+        starts and the same timeline state as the reference joint fit
+        followed by ``reserve_at`` on each timeline, reservation by
+        reservation."""
         channel, array = Timeline("chan"), Timeline("arr")
         legacy_channel, legacy_array = Timeline("chan"), Timeline("arr")
         for earliest, hold, duration in requests:
-            start = reserve_pair(earliest, [(channel, hold),
-                                            (array, duration)])
+            start = reserve_pair(earliest, channel, hold, array, duration)
             expected = common_start(earliest, [(legacy_channel, hold),
                                                (legacy_array, duration)])
             legacy_channel.reserve_at(expected, hold)
             legacy_array.reserve_at(expected, duration)
             assert start == expected
-            assert channel._starts == legacy_channel._starts
-            assert channel._ends == legacy_channel._ends
-            assert array._starts == legacy_array._starts
-            assert array._ends == legacy_array._ends
-        assert channel.busy_seconds == legacy_channel.busy_seconds
-        assert array.busy_seconds == legacy_array.busy_seconds
-        assert array.reservations == legacy_array.reservations
+            for timeline, legacy in ((channel, legacy_channel),
+                                     (array, legacy_array)):
+                assert timeline._starts == legacy._starts
+                assert timeline._ends == legacy._ends
+        for timeline, legacy in ((channel, legacy_channel),
+                                 (array, legacy_array)):
+            assert timeline.busy_seconds == legacy.busy_seconds
+            assert timeline.reservations == legacy.reservations
 
 
 class TestCommonStart:
+    """Joint (channel, array) starts from :func:`reserve_pair`, checked
+    against hand-derived values and the reference :func:`common_start`."""
+
+    @staticmethod
+    def joint_start(earliest, a, b, duration):
+        expected = common_start(earliest, [(a, duration), (b, duration)])
+        start = reserve_pair(earliest, a, duration, b, duration)
+        assert start == expected
+        return start
+
     def test_both_free(self):
         a, b = Timeline("a"), Timeline("b")
         assert common_start(1.0, [(a, 2.0), (b, 3.0)]) == 1.0
+        assert reserve_pair(1.0, a, 2.0, b, 3.0) == 1.0
+        assert a._ends == [3.0] and b._ends == [4.0]
 
     def test_pushed_by_busier_resource(self):
         a, b = Timeline("a"), Timeline("b")
         a.reserve(0.0, 5.0)
-        assert common_start(0.0, [(a, 1.0), (b, 1.0)]) == 5.0
+        assert self.joint_start(0.0, a, b, 1.0) == 5.0
 
     def test_finds_shared_gap(self):
         a, b = Timeline("a"), Timeline("b")
         a.reserve(0.0, 2.0)       # a busy [0,2]
         b.reserve(3.0, 2.0)       # b busy [3,5]
         # A 1-second joint reservation fits at [2,3].
-        assert common_start(0.0, [(a, 1.0), (b, 1.0)]) == 2.0
+        assert self.joint_start(0.0, a, b, 1.0) == 2.0
+        assert a._starts == [0.0, 2.0] and b._starts == [2.0, 3.0]
 
 
 class TestPool:

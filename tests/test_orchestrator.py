@@ -1,11 +1,18 @@
 """Tests for the multithreaded orchestration simulator (Figure 8)."""
 
 
+import hashlib
+from collections import Counter
+
 import pytest
 
 from repro.arch import best_perf, homogeneous, infinite_link, nvlink
+from repro.arch.config import ArrayGroup, HardwareConfig
+from repro.arch.interconnect import make_partition
+from repro.dataflow import ArrayType
 from repro.model import protein_bert_tiny
 from repro.sched import HostModel, Orchestrator
+from repro.telemetry import Tracer
 
 # A small but structurally complete workload for fast scheduling tests.
 CONFIG = protein_bert_tiny(num_layers=4, hidden_size=128, num_heads=4,
@@ -142,30 +149,62 @@ class TestResourceModel:
                 b.kind_compute_seconds[kind], rel=0.05)
 
 
-class TestSchedulingPolicies:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            Orchestrator(best_perf(), policy="random")
+class TestArraySelection:
+    """Earliest-finish placement over array groups of different sizes.
 
-    @pytest.mark.parametrize("policy", Orchestrator.POLICIES)
-    def test_all_policies_complete(self, policy):
-        result = Orchestrator(best_perf(), policy=policy).run(
-            CONFIG, batch=16, seq_len=128)
-        assert result.throughput > 0
+    Every named configuration has one array size per type, so only a
+    hand-built configuration reaches candidates whose durations differ.
+    The expected values were recorded with the earlier two-path scheduler
+    (separate traced and untraced placers); both paths must reproduce
+    them exactly.
+    """
 
-    def test_policies_within_factor_of_each_other(self):
-        throughputs = {}
-        for policy in Orchestrator.POLICIES:
-            result = Orchestrator(best_perf(), policy=policy).run(
-                CONFIG, batch=32, seq_len=128)
-            throughputs[policy] = result.throughput
-        best = max(throughputs.values())
-        worst = min(throughputs.values())
-        assert best / worst < 1.5
+    MIXED = HardwareConfig(name="MixedM", groups=(
+        ArrayGroup(ArrayType.M, size=64, count=1),
+        ArrayGroup(ArrayType.M, size=32, count=2),
+        ArrayGroup(ArrayType.G, size=32, count=2),
+        ArrayGroup(ArrayType.E, size=32, count=2)),
+        partition=make_partition(2, 2, 2))
 
-    def test_total_work_policy_invariant(self):
-        results = [Orchestrator(best_perf(), policy=policy).run(
-            CONFIG, batch=8, seq_len=64)
-            for policy in Orchestrator.POLICIES]
-        bytes_set = {result.total_stream_bytes for result in results}
-        assert len(bytes_set) == 1
+    RESOURCE_COUNTS = {
+        "1x 64x64 M[0]": 79, "2x 32x32 M[0]": 78, "2x 32x32 M[1]": 3,
+        "2x 32x32 G[0]": 27, "2x 32x32 G[1]": 5,
+        "2x 32x32 E[0]": 24, "2x 32x32 E[1]": 8, "host": 72}
+    RESOURCE_DIGEST = (
+        "059f08022c32c443bb2679c2e64b63a55ebf432cff1b43c3cc21c2f92263445b")
+
+    def _run(self, orchestrator, tracer=None):
+        return orchestrator.run(CONFIG, batch=8, seq_len=64,
+                                record_tasks=True, tracer=tracer)
+
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    def test_mixed_sizes_pinned(self, traced):
+        result = self._run(Orchestrator(self.MIXED),
+                           Tracer() if traced else None)
+        assert result.makespan_seconds == 0.0006801806933333324
+        assert result.host_utilization == 0.02649648861933786
+        assert result.total_stream_bytes == 27336704
+        assert result.total_dispatches == 256
+        assert result.contention_seconds == 0.000727040000000002
+        assert result.array_utilization == {
+            ArrayType.M: 0.3372963412632876,
+            ArrayType.G: 0.21735400820550602,
+            ArrayType.E: 0.20343247875257436}
+        assert result.channel_utilization == {
+            ArrayType.M: 0.9342270461778474,
+            ArrayType.G: 0.24548561788705395,
+            ArrayType.E: 0.33573928224667376}
+        assert result.kind_compute_seconds == {
+            "dataflow1": 0.00019247999999999962,
+            "dataflow2": 0.00020479999999999986,
+            "dataflow3": 9.215999999999998e-05}
+        resources = [record.resource for record in result.task_log]
+        assert Counter(resources) == self.RESOURCE_COUNTS
+        assert hashlib.sha256("\n".join(resources).encode()).hexdigest() \
+            == self.RESOURCE_DIGEST
+
+    def test_reused_orchestrator_is_deterministic(self):
+        orchestrator = Orchestrator(self.MIXED)
+        first = self._run(orchestrator)
+        assert self._run(orchestrator).task_log == first.task_log

@@ -90,7 +90,7 @@ class TestKeys:
         assert schedule_key(trace, hardware, HostModel(),
                             threads=8) != base
         assert schedule_key(trace, hardware, HostModel(),
-                            policy="round_robin") != base
+                            contention_coefficient=0.1) != base
 
     def test_content_hash_rejects_unknown_types(self):
         with pytest.raises(TypeError):

@@ -6,11 +6,12 @@ disabled, Chrome-trace schema validity of exported JSON, histogram
 percentile math at bucket edges, and registry merge semantics.
 """
 
+import hashlib
 import json
 
 import pytest
 
-from repro.arch import best_perf
+from repro.arch import best_perf, homogeneous
 from repro.arch.accelerated_model import AcceleratedProteinBert
 from repro.dataflow import ArrayType
 from repro.model import ProteinBert, protein_bert_tiny
@@ -146,6 +147,27 @@ class TestOrchestratorTracing:
         assert histogram.count > 0
         assert metrics.gauge("sched/makespan_seconds").value == (
             pytest.approx(result.makespan_seconds))
+
+
+class TestGoldenTraces:
+    """SHA-256 of the exported Chrome trace of one traced run, pinned so
+    any change to span order, ids, names, tracks, timestamps or argument
+    order shows.  The digests were recorded with the earlier two-path
+    scheduler (a dedicated traced placer), after dropping the run span's
+    retired ``policy`` argument."""
+
+    @pytest.mark.parametrize("hardware, digest", [
+        (best_perf,
+         "26edceb9032153a24721546dc899f3843e9379fe1818668d7ac150324ecde6f3"),
+        (homogeneous,
+         "4597f3446f63b838029fab996e6979ad6854b423ecf5f7a1d79b5563a9e1e00d"),
+    ], ids=["best_perf", "homogeneous"])
+    def test_chrome_trace_digest(self, hardware, digest):
+        tracer = Tracer()
+        Orchestrator(hardware()).run(CONFIG, batch=4, seq_len=64,
+                                     tracer=tracer)
+        text = json.dumps(to_chrome_trace(tracer))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestBottleneckTieBreak:
