@@ -19,7 +19,7 @@ same cold-path work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -70,15 +70,20 @@ _STATE: Dict[str, object] = {}
 def register(name: str, description: str, *,
              setup: Optional[Callable[[], None]] = None,
              tags: Sequence[str] = (),
-             traced: Optional[Callable[..., float]] = None
-             ) -> Callable[[Callable[[], float]], Callable[[], float]]:
-    """Class-less decorator registering a module-level scenario callable."""
-    def decorate(fn: Callable[[], float]) -> Callable[[], float]:
+             traced: Union[bool, Callable[..., float], None] = None
+             ) -> Callable[[Callable[..., float]], Callable[..., float]]:
+    """Class-less decorator registering a module-level scenario callable.
+
+    ``traced=True`` registers the body itself as the traced variant: it
+    takes an optional tracer (``None`` on timed runs).
+    """
+    def decorate(fn: Callable[..., float]) -> Callable[..., float]:
         if name in _REGISTRY:
             raise ValueError(f"scenario '{name}' already registered")
-        _REGISTRY[name] = Scenario(name=name, description=description,
-                                   fn=fn, setup=setup, tags=tuple(tags),
-                                   traced=traced)
+        _REGISTRY[name] = Scenario(
+            name=name, description=description, fn=fn, setup=setup,
+            tags=tuple(tags),
+            traced=fn if traced is True else traced)
         return fn
     return decorate
 
@@ -186,24 +191,15 @@ def _setup_schedule() -> None:
     scenario_schedule()  # warms the trace cache; scheduling itself is cold
 
 
-def _traced_schedule(tracer) -> float:
+@register("schedule",
+          "cold cycle-level schedule of one batched inference "
+          "(warm trace cache)",
+          setup=_setup_schedule, tags=(FAST_TAG, "cold"), traced=True)
+def scenario_schedule(tracer=None) -> float:
     from ..sched.orchestrator import Orchestrator
 
     result = Orchestrator(_hardware()).run(_base_config(), batch=BATCH,
                                            seq_len=SEQ_LEN, tracer=tracer)
-    return float(result.makespan_seconds)
-
-
-@register("schedule",
-          "cold cycle-level schedule of one batched inference "
-          "(warm trace cache)",
-          setup=_setup_schedule, tags=(FAST_TAG, "cold"),
-          traced=_traced_schedule)
-def scenario_schedule() -> float:
-    from ..sched.orchestrator import Orchestrator
-
-    result = Orchestrator(_hardware()).run(_base_config(), batch=BATCH,
-                                           seq_len=SEQ_LEN)
     return float(result.makespan_seconds)
 
 
@@ -301,25 +297,11 @@ def _setup_campaign_simulate() -> None:
         uniprot_like_workload(count=16, seed=SEED))
 
 
-def _traced_campaign_simulate(tracer) -> float:
-    from ..parallel.cache import clear_caches
-
-    state = _STATE.get("campaign_simulate")
-    if state is None:
-        _setup_campaign_simulate()
-        state = _STATE["campaign_simulate"]
-    simulator, workload = state
-    clear_caches()
-    report = simulator.run_on_prose(workload, tracer=tracer)
-    return float(report.total_seconds)
-
-
 @register("campaign_simulate",
           "cold serving campaign: bucket + schedule 16 UniProt-like "
           "sequences",
-          setup=_setup_campaign_simulate, tags=("cold",),
-          traced=_traced_campaign_simulate)
-def scenario_campaign_simulate() -> float:
+          setup=_setup_campaign_simulate, tags=("cold",), traced=True)
+def scenario_campaign_simulate(tracer=None) -> float:
     from ..parallel.cache import clear_caches
 
     state = _STATE.get("campaign_simulate")
@@ -328,48 +310,38 @@ def scenario_campaign_simulate() -> float:
         state = _STATE["campaign_simulate"]
     simulator, workload = state
     clear_caches()  # cold: per-bucket schedules are recomputed
-    report = simulator.run_on_prose(workload)
+    report = simulator.run_on_prose(workload, tracer=tracer)
     return float(report.total_seconds)
 
 
 def _setup_fleet_simulate() -> None:
-    from ..fleet import FleetSimulator, build_fleet, build_scenario
+    from ..experiments.chaos_campaign import scenario_simulator
+    from ..fleet import build_fleet
     from ..model.config import protein_bert_tiny
-    from ..reliability import DegradationPolicy, FaultModel
+    from ..reliability import DegradationPolicy
 
-    topology = build_fleet(racks=2, hosts_per_rack=2, instances_per_host=2)
-    simulator = FleetSimulator(
-        topology, model_config=protein_bert_tiny(),
-        fault_model=FaultModel(seed=SEED),
+    # No background transients: the rack loss is the only fault.
+    simulator, scenario = scenario_simulator(
+        build_fleet(racks=2, hosts_per_rack=2, instances_per_host=2),
+        "rack_power_loss", SEED, config=protein_bert_tiny(),
+        link_transient_rate=0.0,
         policy=DegradationPolicy(min_capacity_fraction=0.25),
         seq_len=64, reference_batch=4)
     simulator.nominal_makespan(64)  # warm the schedule cache
-    _STATE["fleet_simulate"] = (
-        simulator, build_scenario("rack_power_loss", topology))
+    _STATE["fleet_simulate"] = (simulator, scenario)
 
 
-def _traced_fleet_simulate(tracer) -> float:
+@register("fleet_simulate",
+          "fleet chaos recovery: rack power loss over 2x2x2, detect + "
+          "re-shard + drain",
+          setup=_setup_fleet_simulate, tags=(FAST_TAG,), traced=True)
+def scenario_fleet_simulate(tracer=None) -> float:
     state = _STATE.get("fleet_simulate")
     if state is None:
         _setup_fleet_simulate()
         state = _STATE["fleet_simulate"]
     simulator, scenario = state
     report = simulator.run(batch=64, scenario=scenario, tracer=tracer)
-    return float(report.makespan_seconds)
-
-
-@register("fleet_simulate",
-          "fleet chaos recovery: rack power loss over 2x2x2, detect + "
-          "re-shard + drain",
-          setup=_setup_fleet_simulate, tags=(FAST_TAG,),
-          traced=_traced_fleet_simulate)
-def scenario_fleet_simulate() -> float:
-    state = _STATE.get("fleet_simulate")
-    if state is None:
-        _setup_fleet_simulate()
-        state = _STATE["fleet_simulate"]
-    simulator, scenario = state
-    report = simulator.run(batch=64, scenario=scenario)
     return float(report.makespan_seconds)
 
 
@@ -439,7 +411,7 @@ def _setup_trace_analyze() -> None:
     from ..telemetry import Tracer
 
     tracer = Tracer()
-    _traced_schedule(tracer)
+    scenario_schedule(tracer)
     _STATE["trace_analyze"] = tracer
 
 

@@ -20,13 +20,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from .arch.config import HardwareConfig, table4_configs
 from .core.engine import ProSEEngine
 from .core.session import InferenceSession
 from .model.zoo import describe, zoo_names
+
+PROG = "repro"
+DESCRIPTION = "ProSE (ASPLOS 2022) reproduction CLI"
 
 
 def _hardware_by_name(name: str) -> HardwareConfig:
@@ -35,6 +38,27 @@ def _hardware_by_name(name: str) -> HardwareConfig:
             return config
     names = ", ".join(config.name for config in table4_configs())
     raise SystemExit(f"unknown hardware '{name}'; choose from: {names}")
+
+
+def _write_trace(tracer, path: str, command: str,
+                 metadata: Optional[Dict[str, object]] = None,
+                 **tracks) -> Dict[str, int]:
+    """Write ``tracer`` as a validated Perfetto trace; returns its counts.
+
+    ``metadata`` follows the tool/version keys under ``otherData`` and
+    ``tracks`` are :func:`~repro.telemetry.write_chrome_trace`'s extra
+    tracks.  The counts are the validator's plus the ``events`` total.
+    """
+    from .telemetry import validate_chrome_trace, write_chrome_trace
+
+    data = write_chrome_trace(
+        tracer, path,
+        metadata={"tool": f"repro.cli {command}", "version": __version__,
+                  **(metadata or {})},
+        **tracks)
+    counts = validate_chrome_trace(data)
+    counts["events"] = len(data["traceEvents"])
+    return counts
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -71,29 +95,6 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_design_points(result) -> None:
-    print(f"evaluated {len(result.points)} configurations")
-    for label, point in (("BestPerf", result.best_perf),
-                         ("MostPowerEfficient",
-                          result.most_power_efficient),
-                         ("MostAreaEfficient",
-                          result.most_area_efficient)):
-        print(f"{label:>20s}: {point.config.name} "
-              f"runtime(norm)={point.normalized_runtime:.3f} "
-              f"power={point.power_watts:.2f}W "
-              f"area={point.area_mm2:.2f}mm2")
-
-
-def cmd_dse(args: argparse.Namespace) -> int:
-    from .dse.explorer import DesignSpaceExplorer
-
-    explorer = DesignSpaceExplorer(batch=args.batch,
-                                   seq_len=args.seq_len)
-    result = explorer.sweep(limit=args.limit, workers=args.workers)
-    _print_design_points(result)
-    return 0
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     import time
 
@@ -106,7 +107,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         configure,
         record_cache_metrics,
     )
-    from .telemetry import MetricsRegistry, Tracer, write_chrome_trace
+    from .telemetry import MetricsRegistry, Tracer
 
     if args.cache_dir:
         configure(disk_dir=args.cache_dir)
@@ -124,7 +125,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                             limit=args.limit, executor=executor,
                             tracer=tracer, metrics=metrics)
     elapsed = time.perf_counter() - started
-    _print_design_points(result)
+    print(f"evaluated {len(result.points)} configurations")
+    for label, point in (("BestPerf", result.best_perf),
+                         ("MostPowerEfficient",
+                          result.most_power_efficient),
+                         ("MostAreaEfficient",
+                          result.most_area_efficient)):
+        print(f"{label:>20s}: {point.config.name} "
+              f"runtime(norm)={point.normalized_runtime:.3f} "
+              f"power={point.power_watts:.2f}W "
+              f"area={point.area_mm2:.2f}mm2")
     print(f"wall time: {elapsed:.3f}s "
           f"({executor.workers} worker(s), mode={executor.last_mode})")
     worker_stats = executor.last_cache_stats
@@ -135,13 +145,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               f"{snap.disk_hits} disk hits")
     record_cache_metrics(metrics, worker_stats or None)
     if args.trace_out:
-        data = write_chrome_trace(
-            tracer, args.trace_out,
-            metadata={"tool": "repro.cli sweep", "version": __version__,
-                      "workers": executor.workers,
-                      "mode": executor.last_mode})
-        print(f"trace: {len(data['traceEvents'])} events -> "
-              f"{args.trace_out}")
+        counts = _write_trace(tracer, args.trace_out, "sweep",
+                              {"workers": executor.workers,
+                               "mode": executor.last_mode})
+        print(f"trace: {counts['events']} events -> {args.trace_out}")
     return 0
 
 
@@ -181,9 +188,6 @@ def _write_metrics_out(metrics, path: str) -> None:
 
 def cmd_reliability(args: argparse.Namespace) -> int:
     from .experiments import fault_campaign
-    from .model.config import protein_bert_tiny
-    from .reliability import FaultModel, FaultRates
-    from .system.multi import ProSESystem
     from .telemetry import MetricsRegistry
 
     metrics = MetricsRegistry("reliability") if args.metrics_out else None
@@ -191,91 +195,79 @@ def cmd_reliability(args: argparse.Namespace) -> int:
         result = fault_campaign.run(seed=args.seed, workers=args.workers,
                                     metrics=metrics)
         print(fault_campaign.format_result(result))
-        if args.metrics_out:
-            _write_metrics_out(metrics, args.metrics_out)
-        return 0
-
-    rate = args.fault_rate
-    result = fault_campaign.run(fault_rates=(rate,), seed=args.seed,
-                                metrics=metrics)
-    report = result.serving_reports[0]
-    print(f"serving campaign @ fault rate {rate:g} (seed {args.seed}):")
-    print(f"  {report.summary()}")
-
-    config = protein_bert_tiny(num_layers=2, hidden_size=128, num_heads=4,
-                               intermediate_size=512, max_position=2048)
-    fault_model = FaultModel(
-        FaultRates(instance_failure=rate, link_transient=rate / 10.0),
-        seed=args.seed)
-    scenario = ProSESystem(instances=args.instances).simulate_with_faults(
-        config, batch=args.batch, seq_len=args.seq_len,
-        fault_model=fault_model)
-    reliability = scenario.reliability
-    print(f"{args.instances}-instance system @ instance-failure rate "
-          f"{rate:g}:")
-    print(f"  {reliability.summary()}")
-    print(f"  survivors: {scenario.survivors}, energy "
-          f"{scenario.energy_joules:.3f} J "
-          f"(fault-free {scenario.fault_free_energy_joules:.3f} J)")
+    else:
+        rate = args.fault_rate
+        result = fault_campaign.run(fault_rates=(rate,), seed=args.seed,
+                                    metrics=metrics)
+        print(f"serving campaign @ fault rate {rate:g} (seed {args.seed}):")
+        print(f"  {result.serving_reports[0].summary()}")
+        scenario = fault_campaign.random_failure_scenario(
+            rate, args.seed, instances=args.instances, batch=args.batch,
+            seq_len=args.seq_len)
+        print(f"{args.instances}-instance system @ instance-failure rate "
+              f"{rate:g}:")
+        print(f"  {scenario.reliability.summary()}")
+        print(f"  survivors: {scenario.survivors}, energy "
+              f"{scenario.energy_joules:.3f} J "
+              f"(fault-free {scenario.fault_free_energy_joules:.3f} J)")
     if args.metrics_out:
         _write_metrics_out(metrics, args.metrics_out)
     return 0
 
 
+def _reject_single_run_flags(args: argparse.Namespace,
+                             dests: Tuple[str, ...]) -> None:
+    """Exit naming each single-run flag a ``--scenario all`` run ignores."""
+    defaults = build_parser().parse_args([args.command])
+    ignored = [f"--{dest.replace('_', '-')}" for dest in dests
+               if getattr(args, dest) != getattr(defaults, dest)]
+    if ignored:
+        raise SystemExit(f"{args.command} --scenario all runs the campaign "
+                         f"and ignores: {', '.join(ignored)}")
+
+
+def _fleet_shape(args: argparse.Namespace) -> Dict[str, object]:
+    """The fleet-shape flags as ``build_fleet``/campaign keywords."""
+    return {"racks": args.racks, "hosts_per_rack": args.hosts_per_rack,
+            "instances_per_host": args.instances_per_host,
+            "heterogeneous": args.heterogeneous}
+
+
+def _fleet_model(args: argparse.Namespace):
+    from .model.config import protein_bert_base, protein_bert_tiny
+
+    return protein_bert_tiny() if args.tiny else protein_bert_base()
+
+
 def cmd_fleet(args: argparse.Namespace) -> int:
     from .experiments import chaos_campaign
-    from .fleet import (
-        SCENARIO_BUILDERS,
-        FleetSimulator,
-        build_fleet,
-        build_scenario,
-    )
-    from .model.config import protein_bert_base, protein_bert_tiny
-    from .reliability import (
-        DegradationPolicy,
-        FaultModel,
-        FaultRates,
-        derive_task_seed,
-    )
-    from .telemetry import (
-        MetricsRegistry,
-        Tracer,
-        validate_chrome_trace,
-        write_chrome_trace,
-    )
+    from .fleet import SCENARIO_BUILDERS, build_fleet
+    from .reliability import DegradationPolicy
+    from .telemetry import MetricsRegistry, Tracer
 
     if args.list:
-        topology = build_fleet(racks=args.racks,
-                               hosts_per_rack=args.hosts_per_rack,
-                               instances_per_host=args.instances_per_host,
-                               heterogeneous=args.heterogeneous)
+        topology = build_fleet(**_fleet_shape(args))
         width = max(len(name) for name in SCENARIO_BUILDERS)
         for name, builder in SCENARIO_BUILDERS.items():
             print(f"{name:<{width}s}  {builder(topology).description}")
         return 0
 
     if args.scenario == "all":
-        result = chaos_campaign.run(
-            batch=args.batch, seed=args.seed, racks=args.racks,
-            hosts_per_rack=args.hosts_per_rack,
-            instances_per_host=args.instances_per_host,
-            heterogeneous=args.heterogeneous, workers=args.workers)
+        _reject_single_run_flags(args, (
+            "hardware", "seq_len", "reference_batch", "link_transient_rate",
+            "min_capacity", "breaker_failures", "per_instance", "trace_out",
+            "metrics_out"))
+        result = chaos_campaign.run(batch=args.batch, seed=args.seed,
+                                    workers=args.workers,
+                                    **_fleet_shape(args))
         print(chaos_campaign.format_result(result))
         return 0
 
-    topology = build_fleet(racks=args.racks,
-                           hosts_per_rack=args.hosts_per_rack,
-                           instances_per_host=args.instances_per_host,
-                           hardware=_hardware_by_name(args.hardware),
-                           heterogeneous=args.heterogeneous)
-    scenario = (None if args.scenario == "none"
-                else build_scenario(args.scenario, topology))
-    config = protein_bert_tiny() if args.tiny else protein_bert_base()
-    fault_model = FaultModel(
-        FaultRates(link_transient=args.link_transient_rate),
-        seed=derive_task_seed(args.seed, args.scenario))
-    simulator = FleetSimulator(
-        topology, model_config=config, fault_model=fault_model,
+    topology = build_fleet(hardware=_hardware_by_name(args.hardware),
+                           **_fleet_shape(args))
+    simulator, scenario = chaos_campaign.scenario_simulator(
+        topology, args.scenario, args.seed, config=_fleet_model(args),
+        link_transient_rate=args.link_transient_rate,
         policy=DegradationPolicy(
             min_capacity_fraction=args.min_capacity,
             circuit_breaker_failures=args.breaker_failures),
@@ -313,13 +305,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                   f"{outcome.final_state}"
                   f"{'  [breaker open]' if outcome.breaker_open else ''}")
     if args.trace_out:
-        data = write_chrome_trace(
-            tracer, args.trace_out,
-            metadata={"tool": "repro.cli fleet", "version": __version__,
-                      "scenario": report.scenario, "batch": report.batch,
-                      "seed": args.seed},
-            metrics=metrics)
-        counts = validate_chrome_trace(data)
+        counts = _write_trace(tracer, args.trace_out, "fleet",
+                              {"scenario": report.scenario,
+                               "batch": report.batch, "seed": args.seed},
+                              metrics=metrics)
         print(f"trace:     {counts['spans']} spans, "
               f"{counts['instants']} instants, "
               f"{counts['counters']} counters, "
@@ -331,62 +320,28 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
-    from .fleet import (
-        SCENARIO_BUILDERS,
-        FleetSimulator,
-        build_fleet,
-        build_scenario,
-    )
-    from .model.config import protein_bert_base, protein_bert_tiny
+    from .experiments import alert_timelines, chaos_campaign
+    from .fleet import build_fleet
     from .monitor import fleet_monitor, format_alert_report, render_dashboard
-    from .reliability import (
-        FaultModel,
-        FaultRates,
-        derive_task_seed,
-    )
-    from .telemetry import Tracer, validate_chrome_trace, write_chrome_trace
-
-    config = protein_bert_tiny() if args.tiny else protein_bert_base()
-    topology = build_fleet(racks=args.racks,
-                           hosts_per_rack=args.hosts_per_rack,
-                           instances_per_host=args.instances_per_host,
-                           heterogeneous=args.heterogeneous)
-
-    def _run(name: str):
-        fault_model = FaultModel(
-            FaultRates(link_transient=args.link_transient_rate),
-            seed=derive_task_seed(args.seed, name))
-        simulator = FleetSimulator(topology, model_config=config,
-                                   fault_model=fault_model,
-                                   seq_len=args.seq_len)
-        scenario = (None if name == "none"
-                    else build_scenario(name, topology))
-        monitor = fleet_monitor(samples=args.samples)
-        tracer = Tracer() if args.trace_out else None
-        report = simulator.run(batch=args.batch, scenario=scenario,
-                               tracer=tracer, monitor=monitor)
-        return report, monitor, tracer
-
-    def _ms(value) -> str:
-        return f"{value * 1e3:9.3f}" if value is not None else f"{'-':>9s}"
+    from .telemetry import Tracer
 
     if args.scenario == "all":
-        print(f"{'scenario':<18s} {'fault ms':>9s} {'detect ms':>9s} "
-              f"{'page ms':>9s} {'Δpage ms':>9s} {'alerts':>6s} "
-              f"{'pages':>5s} {'burn':>7s} {'budget':>7s}")
-        for name in SCENARIO_BUILDERS:
-            report, _monitor, _tracer = _run(name)
-            outcome = report.slo
-            print(f"{name:<18s} {_ms(outcome.fault_seconds)} "
-                  f"{_ms(outcome.detection_seconds)} "
-                  f"{_ms(outcome.first_page_seconds)} "
-                  f"{_ms(outcome.page_delay_seconds)} "
-                  f"{outcome.alerts:6d} {outcome.pages:5d} "
-                  f"{outcome.worst_burn_rate:7.1f} "
-                  f"{outcome.budget_remaining:6.1%}")
+        _reject_single_run_flags(args, (
+            "seq_len", "link_transient_rate", "samples", "width",
+            "dashboard_out", "report_out", "trace_out"))
+        result = alert_timelines.run(batch=args.batch, seed=args.seed,
+                                     **_fleet_shape(args))
+        print(alert_timelines.format_result(result))
         return 0
 
-    report, monitor, tracer = _run(args.scenario)
+    simulator, scenario = chaos_campaign.scenario_simulator(
+        build_fleet(**_fleet_shape(args)), args.scenario, args.seed,
+        config=_fleet_model(args),
+        link_transient_rate=args.link_transient_rate, seq_len=args.seq_len)
+    monitor = fleet_monitor(samples=args.samples)
+    tracer = Tracer() if args.trace_out else None
+    report = simulator.run(batch=args.batch, scenario=scenario,
+                           tracer=tracer, monitor=monitor)
     print(f"fleet:     {report.topology}")
     print(f"scenario:  {report.scenario}")
     print(f"workload:  {report.batch} inferences, seq_len {args.seq_len}, "
@@ -409,14 +364,10 @@ def cmd_monitor(args: argparse.Namespace) -> int:
             handle.write(format_alert_report(monitor.report()) + "\n")
         print(f"alert report -> {args.report_out}")
     if args.trace_out:
-        data = write_chrome_trace(
-            tracer, args.trace_out,
-            metadata={"tool": "repro.cli monitor",
-                      "version": __version__,
-                      "scenario": report.scenario, "batch": report.batch,
-                      "seed": args.seed},
-            series=monitor.store)
-        counts = validate_chrome_trace(data)
+        counts = _write_trace(tracer, args.trace_out, "monitor",
+                              {"scenario": report.scenario,
+                               "batch": report.batch, "seed": args.seed},
+                              series=monitor.store)
         print(f"trace:     {counts['spans']} spans, "
               f"{counts['counters']} counter samples -> {args.trace_out} "
               f"(open at https://ui.perfetto.dev)")
@@ -429,8 +380,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         critical_path_spans,
         format_analysis,
         load_trace,
-        to_chrome_trace,
-        validate_chrome_trace,
     )
 
     if bool(args.trace) == bool(args.scenario):
@@ -461,17 +410,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         text = format_analysis(analysis, top=args.top)
     else:  # perfetto: re-export with the critical path as its own track
         out = args.out or "analysis.json"
-        data = to_chrome_trace(
-            tracer,
-            metadata={"tool": "repro.cli analyze", "version": __version__,
-                      "source": source_label,
-                      "critical_path_hops": len(analysis.path.hops)},
+        counts = _write_trace(
+            tracer, out, "analyze",
+            {"source": source_label,
+             "critical_path_hops": len(analysis.path.hops)},
             extra_spans=critical_path_spans(analysis.path))
-        counts = validate_chrome_trace(data)
-        import json as json_module
-
-        with open(out, "w", encoding="utf-8") as handle:
-            json_module.dump(data, handle, indent=1)
         print(f"{counts['spans']} spans on {counts['tracks']} tracks "
               f"(+1 critical-path track, {len(analysis.path.hops)} "
               f"hop(s)) -> {out} (open at https://ui.perfetto.dev)")
@@ -502,7 +445,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         write_record,
     )
     from .parallel import SweepExecutor
-    from .telemetry import MetricsRegistry, Tracer, validate_chrome_trace, write_chrome_trace
+    from .telemetry import MetricsRegistry, Tracer
     from .telemetry.profiling import format_hotspots, profile
 
     registry = scenarios()
@@ -516,12 +459,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         names = scenario_names(args.scenarios)
     except KeyError as error:
         raise SystemExit(str(error)) from error
-    if args.check and not args.compare:
-        raise SystemExit("--check requires --compare BENCH_*.json "
-                         "baseline(s)")
-    if args.attribute and not args.compare:
-        raise SystemExit("--attribute requires --compare BENCH_*.json "
-                         "baseline(s)")
+    for flag in ("check", "attribute"):
+        if getattr(args, flag) and not args.compare:
+            raise SystemExit(f"--{flag} requires --compare BENCH_*.json "
+                             "baseline(s)")
 
     executor = SweepExecutor(SweepExecutor.resolve_workers(args.workers))
     metrics = MetricsRegistry()
@@ -552,12 +493,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             profiles.append(report)
             print()
             print(format_hotspots(report, top=args.top))
-        data = write_chrome_trace(
-            tracer, args.profile_out,
-            metadata={"tool": "repro.cli bench", "version": __version__,
-                      "scenarios": ",".join(names)},
-            profiles=profiles)
-        counts = validate_chrome_trace(data)
+        counts = _write_trace(tracer, args.profile_out, "bench",
+                              {"scenarios": ",".join(names)},
+                              profiles=profiles)
         print(f"profile trace: {counts['spans']} spans on "
               f"{counts['tracks']} tracks -> {args.profile_out} "
               f"(open at https://ui.perfetto.dev)")
@@ -600,8 +538,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         MetricsRegistry,
         Tracer,
         render_tracer,
-        validate_chrome_trace,
-        write_chrome_trace,
         write_metrics_csv,
         write_metrics_jsonl,
     )
@@ -649,8 +585,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         from .arch.accelerated_model import AcceleratedProteinBert
         from .model.bert import ProteinBert
 
-        tiny = protein_bert_tiny(num_layers=2, hidden_size=64,
-                                 num_heads=4, intermediate_size=128)
+        tiny = protein_bert_tiny()
         accelerated = AcceleratedProteinBert(
             ProteinBert(tiny, seed=args.seed), tracer=tracer,
             metrics=metrics)
@@ -661,13 +596,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
         tiles = metrics.get("functional/tiles")
         print(f"functional: {int(tiles.value)} GEMM tiles")
 
-    data = write_chrome_trace(
-        tracer, args.out,
-        metadata={"tool": "repro.cli trace", "version": __version__,
-                  "workloads": list(workloads), "batch": args.batch,
-                  "seq_len": args.seq_len},
-        metrics=metrics)
-    counts = validate_chrome_trace(data)
+    counts = _write_trace(tracer, args.out, "trace",
+                          {"workloads": list(workloads), "batch": args.batch,
+                           "seq_len": args.seq_len},
+                          metrics=metrics)
     write_metrics_csv(metrics, args.metrics_csv)
     write_metrics_jsonl(metrics, args.metrics_jsonl)
     print(f"trace: {counts['spans']} spans, {counts['instants']} instants, "
@@ -681,319 +613,308 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+# -- options -------------------------------------------------------------
+
+def _add_workers(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument("--workers", type=int, default=None,
+                        help=f"{what} (default $REPRO_SWEEP_WORKERS or 1)")
+
+
+def _engine_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--hardware", default="BestPerf")
+    parser.add_argument("--batch", type=int, default=128)
+    parser.add_argument("--seq-len", type=int, default=512)
+
+
+def _simulate_options(parser: argparse.ArgumentParser) -> None:
+    _engine_options(parser)
+    parser.add_argument("--threads", type=int, default=None)
+
+
+def _compare_options(parser: argparse.ArgumentParser) -> None:
+    _engine_options(parser)
+    parser.add_argument("--baseline", default="all",
+                        choices=["a100", "tpuv2", "tpuv3", "all"])
+
+
+def _experiments_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("only", nargs="*",
+                        help='experiment ids, e.g. "Figure 18"')
+    _add_workers(parser, "fan experiments out over N processes")
+
+
+def _sweep_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--batch", type=int, default=32)
+    parser.add_argument("--seq-len", type=int, default=512)
+    parser.add_argument("--limit", type=int, default=None,
+                        help="evaluate only the first N configurations")
+    parser.add_argument("--budget", type=int, default=None,
+                        help="PE budget (default 16384)")
+    _add_workers(parser, "evaluate configurations over N processes")
+    parser.add_argument("--cache-dir", default=None,
+                        help="on-disk cache directory (default "
+                             "$REPRO_CACHE_DIR; unset disables the disk "
+                             "layer)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="disable the trace/schedule caches")
+    parser.add_argument("--clear-cache", action="store_true",
+                        help="empty the caches (including disk) first")
+    parser.add_argument("--trace-out", default=None,
+                        help="write a Perfetto trace of per-worker spans")
+
+
+def _binding_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=2022)
+
+
+def _embed_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("sequences", nargs="+")
+    parser.add_argument("--functional", action="store_true",
+                        help="run through the simulated bf16/LUT datapath")
+
+
+def _reliability_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--fault-rate", type=float, default=0.05)
+    parser.add_argument("--seed", type=int, default=2022)
+    parser.add_argument("--instances", type=int, default=4)
+    parser.add_argument("--batch", type=int, default=32)
+    parser.add_argument("--seq-len", type=int, default=128)
+    parser.add_argument("--sweep", action="store_true",
+                        help="sweep fault rates and print the "
+                             "availability/goodput curve")
+    _add_workers(parser, "fan --sweep rate points out over N processes")
+    parser.add_argument("--metrics-out", default=None, metavar="PATH",
+                        help="dump serving metrics per rate point "
+                             "(suffix picks .csv or .jsonl; implies "
+                             "serial instrumented runs)")
+
+
+def _fleet_run_options(parser: argparse.ArgumentParser,
+                       link_transient_rate: float) -> None:
+    """Fleet shape, workload and fault flags shared by fleet/monitor."""
+    parser.add_argument("--scenario", default="rack_power_loss",
+                        help="chaos scenario name, 'none' (clean run), or "
+                             "'all' (the campaign table; single-run "
+                             "flags are rejected)")
+    parser.add_argument("--racks", type=int, default=2)
+    parser.add_argument("--hosts-per-rack", type=int, default=2)
+    parser.add_argument("--instances-per-host", type=int, default=4)
+    parser.add_argument("--heterogeneous", action="store_true",
+                        help="mix calibrated A100/TPU baselines into the "
+                             "fleet as schedulable capacity")
+    parser.add_argument("--batch", type=int, default=256)
+    parser.add_argument("--seq-len", type=int, default=128)
+    parser.add_argument("--seed", type=int, default=2022)
+    parser.add_argument("--tiny", action="store_true",
+                        help="use the tiny model config (fast smoke runs)")
+    parser.add_argument("--link-transient-rate", type=float,
+                        default=link_transient_rate,
+                        help="background fabric transient probability per "
+                             "dispatch")
+
+
+def _fleet_options(parser: argparse.ArgumentParser) -> None:
+    _fleet_run_options(parser, link_transient_rate=0.01)
+    parser.add_argument("--list", action="store_true",
+                        help="list chaos scenarios for this fleet and exit")
+    parser.add_argument("--hardware", default="BestPerf",
+                        help="ProSE configuration for prose-backed "
+                             "instances")
+    parser.add_argument("--reference-batch", type=int, default=8,
+                        help="shard size used to calibrate backend rates")
+    parser.add_argument("--min-capacity", type=float, default=0.25,
+                        help="brownout floor as a fraction of nominal "
+                             "capacity (0 disables load shedding)")
+    parser.add_argument("--breaker-failures", type=int, default=3,
+                        help="hard failures before the circuit breaker "
+                             "quarantines an instance (0 disables)")
+    parser.add_argument("--per-instance", action="store_true",
+                        help="print the per-instance outcome table")
+    parser.add_argument("--trace-out", default=None,
+                        help="write the recovery timeline as a Perfetto "
+                             "trace")
+    parser.add_argument("--metrics-out", default=None, metavar="PATH",
+                        help="dump fleet metrics (suffix picks .csv or "
+                             ".jsonl)")
+    _add_workers(parser, "fan --scenario all out over N processes")
+
+
+def _monitor_options(parser: argparse.ArgumentParser) -> None:
+    _fleet_run_options(parser, link_transient_rate=0.0)
+    parser.add_argument("--samples", type=int, default=128,
+                        help="monitor sample ticks across the nominal "
+                             "horizon")
+    parser.add_argument("--width", type=int, default=48,
+                        help="sparkline width in characters")
+    parser.add_argument("--dashboard-out", default=None, metavar="PATH",
+                        help="also write the dashboard to a file")
+    parser.add_argument("--report-out", default=None, metavar="PATH",
+                        help="write the alert report to a file")
+    parser.add_argument("--trace-out", default=None, metavar="PATH",
+                        help="write a Perfetto trace with monitor "
+                             "counter tracks")
+
+
+def _trace_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--workload", default="schedule",
+                        choices=["schedule", "system", "serving",
+                                 "functional", "all"],
+                        help="which instrumented path to trace")
+    parser.add_argument("--hardware", default="BestPerf")
+    parser.add_argument("--batch", type=int, default=8)
+    parser.add_argument("--seq-len", type=int, default=128)
+    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--instances", type=int, default=4,
+                        help="instances for the system workload")
+    parser.add_argument("--sequences", type=int, default=32,
+                        help="library size for the serving workload")
+    parser.add_argument("--seed", type=int, default=2022)
+    parser.add_argument("--out", default="trace.json",
+                        help="Chrome-trace JSON output path")
+    parser.add_argument("--metrics-csv", default="metrics.csv")
+    parser.add_argument("--metrics-jsonl", default="metrics.jsonl")
+    parser.add_argument("--ascii", action="store_true",
+                        help="also print an ASCII timeline")
+    parser.add_argument("--width", type=int, default=100,
+                        help="ASCII timeline width")
+
+
+def _bench_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--scenarios", default="all",
+                        help="'all', a tag (e.g. 'fast'), or a "
+                             "comma-separated scenario list")
+    parser.add_argument("--repeat", type=int, default=5,
+                        help="timed executions per scenario "
+                             "(median-of-N, default 5)")
+    parser.add_argument("--out", default=None,
+                        help="record path (default: next free "
+                             "BENCH_<seq>.json in the current directory)")
+    parser.add_argument("--compare", nargs="+", default=None,
+                        metavar="BENCH_JSON",
+                        help="prior record(s) to compare against")
+    parser.add_argument("--check", action="store_true",
+                        help="exit nonzero when any scenario regresses "
+                             "beyond the band (requires --compare)")
+    parser.add_argument("--band", type=float, default=25.0,
+                        help="regression tolerance band in percent "
+                             "(default 25)")
+    parser.add_argument("--min-delta", type=float, default=0.0,
+                        metavar="SECONDS",
+                        help="absolute slowdown floor: a band breach "
+                             "only fails when current - baseline also "
+                             "exceeds this many seconds (default 0)")
+    parser.add_argument("--profile", action="store_true",
+                        help="re-run each scenario under cProfile and "
+                             "print span-attributed hotspot tables")
+    parser.add_argument("--profile-out", default="bench_profile.json",
+                        help="Perfetto trace with hotspot tracks "
+                             "(with --profile)")
+    parser.add_argument("--top", type=int, default=50,
+                        help="hotspot table rows per scenario "
+                             "(default 50)")
+    _add_workers(parser, "time scenarios in N forked processes")
+    parser.add_argument("--list", action="store_true",
+                        help="list registered scenarios and exit")
+    parser.add_argument("--attribute", action="store_true",
+                        help="after --compare, re-run regressed "
+                             "scenarios with tracing and print a span "
+                             "attribution table")
+    parser.add_argument("--rollups", action="store_true",
+                        help="embed span rollups for traceable scenarios "
+                             "in the record (future --attribute runs "
+                             "diff against them)")
+
+
+def _analyze_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--trace", default=None, metavar="JSON",
+                        help="exported Chrome-trace JSON to analyze")
+    parser.add_argument("--scenario", default=None,
+                        help="instead of --trace: run this bench "
+                             "scenario's traced variant and analyze it")
+    parser.add_argument("--against", default=None, metavar="JSON",
+                        help="baseline trace; adds a span-attributed "
+                             "latency diff")
+    parser.add_argument("--root", default=None,
+                        help="anchor span name (default: the run/fleet "
+                             "root span)")
+    parser.add_argument("--top", type=int, default=10,
+                        help="rows per table (default 10)")
+    parser.add_argument("--format", default="ascii",
+                        choices=["ascii", "json", "perfetto"],
+                        help="ascii tables, canonical JSON, or a "
+                             "Perfetto re-export with the critical "
+                             "path highlighted on its own track")
+    parser.add_argument("--out", default=None,
+                        help="also write the report here (for "
+                             "--format perfetto: the trace path, "
+                             "default analysis.json)")
+
+
+#: (name, aliases, help, handler, option builder) per subcommand; the
+#: table drives both the parser registration and the no-args overview.
+SUBCOMMANDS = (
+    ("simulate", (), "cycle-level ProSE simulation",
+     cmd_simulate, _simulate_options),
+    ("compare", (), "compare vs a baseline", cmd_compare, _compare_options),
+    ("experiments", (), "regenerate paper artifacts",
+     cmd_experiments, _experiments_options),
+    ("sweep", ("dse",), "parallel DSE sweep with shape-keyed memoization",
+     cmd_sweep, _sweep_options),
+    ("binding", (), "Section 2.2 binding-affinity study",
+     cmd_binding, _binding_options),
+    ("embed", (), "embed protein sequences", cmd_embed, _embed_options),
+    ("zoo", (), "list registered model scales", cmd_zoo, None),
+    ("reliability", (),
+     "fault-injection campaign and degraded-mode accounting",
+     cmd_reliability, _reliability_options),
+    ("fleet", (),
+     "fleet simulation: chaos scenarios over racks of instances",
+     cmd_fleet, _fleet_options),
+    ("monitor", (),
+     "live monitoring: SLO burn-rate alerts and an ASCII dashboard over "
+     "a chaos scenario", cmd_monitor, _monitor_options),
+    ("trace", (),
+     "run an instrumented workload; write a Perfetto trace and a "
+     "metrics dump", cmd_trace, _trace_options),
+    ("bench", (),
+     "benchmark observatory: record BENCH_<seq>.json, compare against "
+     "the trajectory, profile hotspots", cmd_bench, _bench_options),
+    ("analyze", (),
+     "trace analytics: critical path, utilization attribution, "
+     "run-to-run regression diff", cmd_analyze, _analyze_options),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro", description="ProSE (ASPLOS 2022) reproduction CLI")
+    parser = argparse.ArgumentParser(prog=PROG, description=DESCRIPTION)
     parser.add_argument("--version", action="version",
-                        version=f"repro {__version__}")
+                        version=f"{PROG} {__version__}")
     sub = parser.add_subparsers(dest="command", required=False)
-
-    simulate = sub.add_parser("simulate",
-                              help="cycle-level ProSE simulation")
-    simulate.add_argument("--hardware", default="BestPerf")
-    simulate.add_argument("--batch", type=int, default=128)
-    simulate.add_argument("--seq-len", type=int, default=512)
-    simulate.add_argument("--threads", type=int, default=None)
-    simulate.set_defaults(handler=cmd_simulate)
-
-    compare = sub.add_parser("compare", help="compare vs a baseline")
-    compare.add_argument("--hardware", default="BestPerf")
-    compare.add_argument("--baseline", default="all",
-                         choices=["a100", "tpuv2", "tpuv3", "all"])
-    compare.add_argument("--batch", type=int, default=128)
-    compare.add_argument("--seq-len", type=int, default=512)
-    compare.set_defaults(handler=cmd_compare)
-
-    experiments = sub.add_parser("experiments",
-                                 help="regenerate paper artifacts")
-    experiments.add_argument("only", nargs="*",
-                             help='experiment ids, e.g. "Figure 18"')
-    experiments.add_argument("--workers", type=int, default=None,
-                             help="fan experiments out over N processes "
-                                  "(default $REPRO_SWEEP_WORKERS or 1)")
-    experiments.set_defaults(handler=cmd_experiments)
-
-    dse = sub.add_parser("dse", help="design-space exploration")
-    dse.add_argument("--batch", type=int, default=32)
-    dse.add_argument("--seq-len", type=int, default=512)
-    dse.add_argument("--limit", type=int, default=None)
-    dse.add_argument("--workers", type=int, default=None,
-                     help="evaluate configurations over N processes "
-                          "(default $REPRO_SWEEP_WORKERS or 1)")
-    dse.set_defaults(handler=cmd_dse)
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="parallel DSE sweep with shape-keyed memoization")
-    sweep.add_argument("--batch", type=int, default=32)
-    sweep.add_argument("--seq-len", type=int, default=512)
-    sweep.add_argument("--limit", type=int, default=None,
-                       help="evaluate only the first N configurations")
-    sweep.add_argument("--budget", type=int, default=None,
-                       help="PE budget (default 16384)")
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default "
-                            "$REPRO_SWEEP_WORKERS or 1)")
-    sweep.add_argument("--cache-dir", default=None,
-                       help="on-disk cache directory (default "
-                            "$REPRO_CACHE_DIR; unset disables the disk "
-                            "layer)")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="disable the trace/schedule caches")
-    sweep.add_argument("--clear-cache", action="store_true",
-                       help="empty the caches (including disk) first")
-    sweep.add_argument("--trace-out", default=None,
-                       help="write a Perfetto trace of per-worker spans")
-    sweep.set_defaults(handler=cmd_sweep)
-
-    binding = sub.add_parser("binding",
-                             help="Section 2.2 binding-affinity study")
-    binding.add_argument("--seed", type=int, default=2022)
-    binding.set_defaults(handler=cmd_binding)
-
-    embed = sub.add_parser("embed", help="embed protein sequences")
-    embed.add_argument("sequences", nargs="+")
-    embed.add_argument("--functional", action="store_true",
-                       help="run through the simulated bf16/LUT datapath")
-    embed.set_defaults(handler=cmd_embed)
-
-    zoo = sub.add_parser("zoo", help="list registered model scales")
-    zoo.set_defaults(handler=cmd_zoo)
-
-    reliability = sub.add_parser(
-        "reliability",
-        help="fault-injection campaign and degraded-mode accounting")
-    reliability.add_argument("--fault-rate", type=float, default=0.05)
-    reliability.add_argument("--seed", type=int, default=2022)
-    reliability.add_argument("--instances", type=int, default=4)
-    reliability.add_argument("--batch", type=int, default=32)
-    reliability.add_argument("--seq-len", type=int, default=128)
-    reliability.add_argument("--sweep", action="store_true",
-                             help="sweep fault rates and print the "
-                                  "availability/goodput curve")
-    reliability.add_argument("--workers", type=int, default=None,
-                             help="fan --sweep rate points out over N "
-                                  "processes (default $REPRO_SWEEP_WORKERS "
-                                  "or 1)")
-    reliability.add_argument("--metrics-out", default=None,
-                             metavar="PATH",
-                             help="dump serving metrics per rate point "
-                                  "(suffix picks .csv or .jsonl; implies "
-                                  "serial instrumented runs)")
-    reliability.set_defaults(handler=cmd_reliability)
-
-    fleet = sub.add_parser(
-        "fleet",
-        help="fleet simulation: chaos scenarios over racks of instances")
-    fleet.add_argument("--scenario", default="rack_power_loss",
-                       help="chaos scenario name, 'none' (clean run), or "
-                            "'all' (the full campaign table)")
-    fleet.add_argument("--list", action="store_true",
-                       help="list chaos scenarios for this fleet and exit")
-    fleet.add_argument("--racks", type=int, default=2)
-    fleet.add_argument("--hosts-per-rack", type=int, default=2)
-    fleet.add_argument("--instances-per-host", type=int, default=4)
-    fleet.add_argument("--heterogeneous", action="store_true",
-                       help="mix calibrated A100/TPU baselines into the "
-                            "fleet as schedulable capacity")
-    fleet.add_argument("--hardware", default="BestPerf",
-                       help="ProSE configuration for prose-backed "
-                            "instances")
-    fleet.add_argument("--batch", type=int, default=256)
-    fleet.add_argument("--seq-len", type=int, default=128)
-    fleet.add_argument("--reference-batch", type=int, default=8,
-                       help="shard size used to calibrate backend rates")
-    fleet.add_argument("--seed", type=int, default=2022)
-    fleet.add_argument("--tiny", action="store_true",
-                       help="use the tiny model config (fast smoke runs)")
-    fleet.add_argument("--link-transient-rate", type=float, default=0.01,
-                       help="background fabric transient probability per "
-                            "dispatch")
-    fleet.add_argument("--min-capacity", type=float, default=0.25,
-                       help="brownout floor as a fraction of nominal "
-                            "capacity (0 disables load shedding)")
-    fleet.add_argument("--breaker-failures", type=int, default=3,
-                       help="hard failures before the circuit breaker "
-                            "quarantines an instance (0 disables)")
-    fleet.add_argument("--per-instance", action="store_true",
-                       help="print the per-instance outcome table")
-    fleet.add_argument("--trace-out", default=None,
-                       help="write the recovery timeline as a Perfetto "
-                            "trace")
-    fleet.add_argument("--metrics-out", default=None, metavar="PATH",
-                       help="dump fleet metrics (suffix picks .csv or "
-                            ".jsonl)")
-    fleet.add_argument("--workers", type=int, default=None,
-                       help="fan --scenario all out over N processes "
-                            "(default $REPRO_SWEEP_WORKERS or 1)")
-    fleet.set_defaults(handler=cmd_fleet)
-
-    monitor = sub.add_parser(
-        "monitor",
-        help="live monitoring: SLO burn-rate alerts and an ASCII "
-             "dashboard over a chaos scenario")
-    monitor.add_argument("--scenario", default="rack_power_loss",
-                         help="chaos scenario name, 'none' (clean run), "
-                              "or 'all' (alert-timeline table)")
-    monitor.add_argument("--racks", type=int, default=2)
-    monitor.add_argument("--hosts-per-rack", type=int, default=2)
-    monitor.add_argument("--instances-per-host", type=int, default=4)
-    monitor.add_argument("--heterogeneous", action="store_true",
-                         help="mix calibrated A100/TPU baselines into "
-                              "the fleet")
-    monitor.add_argument("--batch", type=int, default=256)
-    monitor.add_argument("--seq-len", type=int, default=128)
-    monitor.add_argument("--seed", type=int, default=2022)
-    monitor.add_argument("--tiny", action="store_true",
-                         help="use the tiny model config (fast smoke "
-                              "runs)")
-    monitor.add_argument("--link-transient-rate", type=float, default=0.0,
-                         help="background fabric transient probability "
-                              "per dispatch")
-    monitor.add_argument("--samples", type=int, default=128,
-                         help="monitor sample ticks across the nominal "
-                              "horizon")
-    monitor.add_argument("--width", type=int, default=48,
-                         help="sparkline width in characters")
-    monitor.add_argument("--dashboard-out", default=None, metavar="PATH",
-                         help="also write the dashboard to a file")
-    monitor.add_argument("--report-out", default=None, metavar="PATH",
-                         help="write the alert report to a file")
-    monitor.add_argument("--trace-out", default=None, metavar="PATH",
-                         help="write a Perfetto trace with monitor "
-                              "counter tracks")
-    monitor.set_defaults(handler=cmd_monitor)
-
-    trace = sub.add_parser(
-        "trace",
-        help="run an instrumented workload; write a Perfetto trace "
-             "and a metrics dump")
-    trace.add_argument("--workload", default="schedule",
-                       choices=["schedule", "system", "serving",
-                                "functional", "all"],
-                       help="which instrumented path to trace")
-    trace.add_argument("--hardware", default="BestPerf")
-    trace.add_argument("--batch", type=int, default=8)
-    trace.add_argument("--seq-len", type=int, default=128)
-    trace.add_argument("--threads", type=int, default=None)
-    trace.add_argument("--instances", type=int, default=4,
-                       help="instances for the system workload")
-    trace.add_argument("--sequences", type=int, default=32,
-                       help="library size for the serving workload")
-    trace.add_argument("--seed", type=int, default=2022)
-    trace.add_argument("--out", default="trace.json",
-                       help="Chrome-trace JSON output path")
-    trace.add_argument("--metrics-csv", default="metrics.csv")
-    trace.add_argument("--metrics-jsonl", default="metrics.jsonl")
-    trace.add_argument("--ascii", action="store_true",
-                       help="also print an ASCII timeline")
-    trace.add_argument("--width", type=int, default=100,
-                       help="ASCII timeline width")
-    trace.set_defaults(handler=cmd_trace)
-
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark observatory: record BENCH_<seq>.json, compare "
-             "against the trajectory, profile hotspots")
-    bench.add_argument("--scenarios", default="all",
-                       help="'all', a tag (e.g. 'fast'), or a "
-                            "comma-separated scenario list")
-    bench.add_argument("--repeat", type=int, default=5,
-                       help="timed executions per scenario "
-                            "(median-of-N, default 5)")
-    bench.add_argument("--out", default=None,
-                       help="record path (default: next free "
-                            "BENCH_<seq>.json in the current directory)")
-    bench.add_argument("--compare", nargs="+", default=None,
-                       metavar="BENCH_JSON",
-                       help="prior record(s) to compare against")
-    bench.add_argument("--check", action="store_true",
-                       help="exit nonzero when any scenario regresses "
-                            "beyond the band (requires --compare)")
-    bench.add_argument("--band", type=float, default=25.0,
-                       help="regression tolerance band in percent "
-                            "(default 25)")
-    bench.add_argument("--min-delta", type=float, default=0.0,
-                       metavar="SECONDS",
-                       help="absolute slowdown floor: a band breach "
-                            "only fails when current - baseline also "
-                            "exceeds this many seconds (default 0)")
-    bench.add_argument("--profile", action="store_true",
-                       help="re-run each scenario under cProfile and "
-                            "print span-attributed hotspot tables")
-    bench.add_argument("--profile-out", default="bench_profile.json",
-                       help="Perfetto trace with hotspot tracks "
-                            "(with --profile)")
-    bench.add_argument("--top", type=int, default=50,
-                       help="hotspot table rows per scenario "
-                            "(default 50)")
-    bench.add_argument("--workers", type=int, default=None,
-                       help="time scenarios in N forked processes "
-                            "(default $REPRO_SWEEP_WORKERS or 1)")
-    bench.add_argument("--list", action="store_true",
-                       help="list registered scenarios and exit")
-    bench.add_argument("--attribute", action="store_true",
-                       help="after --compare, re-run regressed "
-                            "scenarios with tracing and print a span "
-                            "attribution table")
-    bench.add_argument("--rollups", action="store_true",
-                       help="embed span rollups for traceable scenarios "
-                            "in the record (future --attribute runs "
-                            "diff against them)")
-    bench.set_defaults(handler=cmd_bench)
-
-    analyze = sub.add_parser(
-        "analyze",
-        help="trace analytics: critical path, utilization attribution, "
-             "run-to-run regression diff")
-    analyze.add_argument("--trace", default=None, metavar="JSON",
-                         help="exported Chrome-trace JSON to analyze")
-    analyze.add_argument("--scenario", default=None,
-                         help="instead of --trace: run this bench "
-                              "scenario's traced variant and analyze it")
-    analyze.add_argument("--against", default=None, metavar="JSON",
-                         help="baseline trace; adds a span-attributed "
-                              "latency diff")
-    analyze.add_argument("--root", default=None,
-                         help="anchor span name (default: the run/fleet "
-                              "root span)")
-    analyze.add_argument("--top", type=int, default=10,
-                         help="rows per table (default 10)")
-    analyze.add_argument("--format", default="ascii",
-                         choices=["ascii", "json", "perfetto"],
-                         help="ascii tables, canonical JSON, or a "
-                              "Perfetto re-export with the critical "
-                              "path highlighted on its own track")
-    analyze.add_argument("--out", default=None,
-                         help="also write the report here (for "
-                              "--format perfetto: the trace path, "
-                              "default analysis.json)")
-    analyze.set_defaults(handler=cmd_analyze)
+    for name, aliases, help_text, handler, add_options in SUBCOMMANDS:
+        command = sub.add_parser(name, aliases=list(aliases),
+                                 help=help_text)
+        if add_options is not None:
+            add_options(command)
+        command.set_defaults(handler=handler)
     return parser
 
 
-def _print_overview(parser: argparse.ArgumentParser) -> None:
+def _print_overview() -> None:
     """Subcommand list with one-line descriptions (no-args invocation)."""
-    print(f"{parser.prog} {__version__} — {parser.description}")
+    print(f"{PROG} {__version__} — {DESCRIPTION}")
     print()
     print("subcommands:")
-    subparsers = next(
-        action for action in parser._actions
-        if isinstance(action, argparse._SubParsersAction))
-    for choice in subparsers.choices:
-        help_text = next(
-            (pseudo.help for pseudo in subparsers._choices_actions
-             if pseudo.dest == choice), "")
-        print(f"  {choice:<12s} {help_text}")
+    for name, aliases, help_text, _handler, _options in SUBCOMMANDS:
+        label = f"{name} ({', '.join(aliases)})" if aliases else name
+        print(f"  {label:<12s} {help_text}")
     print()
-    print(f"run '{parser.prog} <subcommand> --help' for options")
+    print(f"run '{PROG} <subcommand> --help' for options")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command is None:
-        _print_overview(parser)
+        _print_overview()
         return 0
     return args.handler(args)
 

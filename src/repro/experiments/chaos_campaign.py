@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..fleet import (
+    ChaosScenario,
     FleetReport,
     FleetSimulator,
     FleetTopology,
@@ -39,6 +40,9 @@ from ..reliability import (
 #: Clean-run pseudo-scenario name (no chaos script, inert fault model).
 BASELINE = "baseline"
 
+#: The CLI's name for a clean run (no chaos script).
+CLEAN = "none"
+
 #: Background fault rate layered under every chaos script.
 DEFAULT_LINK_TRANSIENT_RATE = 0.01
 
@@ -54,29 +58,46 @@ class ChaosCampaignResult:
     reports: Tuple[FleetReport, ...]
 
 
+def scenario_simulator(topology: FleetTopology, name: str, seed: int, *,
+                       config: BertConfig, link_transient_rate: float,
+                       seq_len: int,
+                       policy: Optional[DegradationPolicy] = None,
+                       reference_batch: int = 8
+                       ) -> Tuple[FleetSimulator, Optional[ChaosScenario]]:
+    """The simulator and chaos script for one named scenario run.
+
+    The fault-model seed is a pure function of (root seed, scenario
+    name), so a run's outcome does not depend on which worker runs it
+    or in what order.  ``none`` and :data:`BASELINE` name a clean run:
+    no chaos script, only the background link transients.
+    """
+    scenario = (None if name in (CLEAN, BASELINE)
+                else build_scenario(name, topology))
+    fault_model = FaultModel(FaultRates(link_transient=link_transient_rate),
+                             seed=derive_task_seed(seed, name))
+    simulator = FleetSimulator(
+        topology, model_config=config, fault_model=fault_model,
+        policy=policy, seq_len=seq_len, reference_batch=reference_batch)
+    return simulator, scenario
+
+
 def _scenario_report(payload: Tuple[str, int, int, BertConfig,
                                     FleetTopology]) -> FleetReport:
     """One scenario of the campaign (module-level for pickling).
 
-    The fault-model seed is a pure function of (root seed, scenario
-    name), so this task's outcome does not depend on which worker runs
-    it or in what order.  Every run carries a live fleet monitor: the
-    monitor only observes (all simulated numbers stay bit-identical)
-    and its :class:`~repro.monitor.SloOutcome` lands on the report, so
-    the campaign table can show service impact next to raw goodput.
+    Every run carries a live fleet monitor: the monitor only observes
+    (all simulated numbers stay bit-identical) and its
+    :class:`~repro.monitor.SloOutcome` lands on the report, so the
+    campaign table can show service impact next to raw goodput.
     """
     name, seed, batch, config, topology = payload
-    fault_model = FaultModel(
-        FaultRates(link_transient=(0.0 if name == BASELINE
-                                   else DEFAULT_LINK_TRANSIENT_RATE)),
-        seed=derive_task_seed(seed, name))
-    simulator = FleetSimulator(
-        topology, model_config=config, fault_model=fault_model,
+    simulator, scenario = scenario_simulator(
+        topology, name, seed, config=config,
+        link_transient_rate=(0.0 if name == BASELINE
+                             else DEFAULT_LINK_TRANSIENT_RATE),
         policy=DegradationPolicy(min_capacity_fraction=0.25,
                                  circuit_breaker_failures=3),
         seq_len=64, reference_batch=4)
-    scenario = (None if name == BASELINE
-                else build_scenario(name, topology))
     return simulator.run(batch=batch, scenario=scenario,
                          monitor=fleet_monitor())
 

@@ -35,6 +35,12 @@ from ..telemetry import MetricsRegistry
 #: Fault rates swept over the serving campaign.
 DEFAULT_FAULT_RATES: Tuple[float, ...] = (0.0, 0.01, 0.05, 0.1, 0.2)
 
+#: The campaign's encoder: a small model that still admits 2k-residue
+#: sequences.
+CAMPAIGN_CONFIG = protein_bert_tiny(num_layers=2, hidden_size=128,
+                                    num_heads=4, intermediate_size=512,
+                                    max_position=2048)
+
 #: Backoff scaled to the simulated (milliseconds-long) batch makespans.
 DEFAULT_RETRY_POLICY = RetryPolicy(backoff_base_seconds=0.002,
                                    backoff_cap_seconds=0.05)
@@ -94,11 +100,9 @@ def run(fault_rates: Tuple[float, ...] = DEFAULT_FAULT_RATES,
             out) and its serving counters/histograms merge in under a
             ``rate<rate>/`` prefix.
     """
-    config = protein_bert_tiny(num_layers=2, hidden_size=128, num_heads=4,
-                               intermediate_size=512, max_position=2048)
     workload = screening_campaign(library_size=library_size, seed=seed)
     policy = retry_policy or DEFAULT_RETRY_POLICY
-    payloads = [(rate, seed, config, workload, policy)
+    payloads = [(rate, seed, CAMPAIGN_CONFIG, workload, policy)
                 for rate in fault_rates]
     if metrics is not None:
         serving_reports = []
@@ -115,12 +119,27 @@ def run(fault_rates: Tuple[float, ...] = DEFAULT_FAULT_RATES,
     # path reshards its inferences across the three survivors.
     failure_model = FaultModel(seed=seed, targeted_instance_failures=(1,))
     scenario = ProSESystem(instances=4).simulate_with_faults(
-        config, batch=32, seq_len=128, fault_model=failure_model,
+        CAMPAIGN_CONFIG, batch=32, seq_len=128, fault_model=failure_model,
         policy=DegradationPolicy())
     return FaultCampaignResult(fault_rates=tuple(fault_rates),
                                serving_reports=tuple(serving_reports),
                                failure_scenario=scenario,
                                seed=seed)
+
+
+def random_failure_scenario(rate: float, seed: int, instances: int = 4,
+                            batch: int = 32, seq_len: int = 128
+                            ) -> ReliableSystemReport:
+    """One batch on a system whose instances fail at ``rate``.
+
+    Links see transients at a tenth of that rate.
+    """
+    fault_model = FaultModel(
+        FaultRates(instance_failure=rate, link_transient=rate / 10.0),
+        seed=seed)
+    return ProSESystem(instances=instances).simulate_with_faults(
+        CAMPAIGN_CONFIG, batch=batch, seq_len=seq_len,
+        fault_model=fault_model)
 
 
 def format_result(result: FaultCampaignResult) -> str:

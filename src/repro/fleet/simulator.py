@@ -215,8 +215,6 @@ class FleetSimulator:
             :func:`~repro.reliability.validate_policy_interplay`), so
             a config that would loop at the serving layer fails fast at
             fleet-plan time.
-        heartbeat: heartbeat cadence and capacity discounts.
-        fabric: fabric tier bandwidths.
         fault_model: seeded random-fault source layered *under* any
             scripted scenario: spontaneous instance failures and
             fabric transients.  Inert by default.
@@ -229,8 +227,6 @@ class FleetSimulator:
                  model_config: Optional[BertConfig] = None,
                  policy: Optional[DegradationPolicy] = None,
                  retry_policy: Optional[RetryPolicy] = None,
-                 heartbeat: Optional[HeartbeatConfig] = None,
-                 fabric: Optional[FabricModel] = None,
                  fault_model: Optional[FaultModel] = None,
                  seq_len: int = 128,
                  reference_batch: int = 8) -> None:
@@ -242,8 +238,8 @@ class FleetSimulator:
         self.model_config = model_config or protein_bert_base()
         self.policy = policy or DegradationPolicy()
         self.retry_policy = retry_policy
-        self.heartbeat = heartbeat or HeartbeatConfig()
-        self.fabric = fabric or FabricModel()
+        self.heartbeat = HeartbeatConfig()
+        self.fabric = FabricModel()
         self.fault_model = fault_model or FaultModel()
         self.seq_len = seq_len
         self.reference_batch = reference_batch

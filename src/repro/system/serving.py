@@ -82,7 +82,6 @@ class CampaignSimulator:
     Args:
         model_config: the encoder the campaign scores sequences with.
         hardware: ProSE instance configuration.
-        buckets: padded-length buckets for batching.
         max_batch: sequences per padded batch.
         fault_model: optional seeded fault injector; batch attempts may
             then fail (retried with capped exponential backoff) or
@@ -90,32 +89,26 @@ class CampaignSimulator:
             the resulting :class:`~repro.reliability.ReliabilityReport`
             is attached to the campaign report.
         retry_policy: backoff/deadline knobs; defaults apply when a
-            fault model is given without a policy.
-        degradation_policy: detection-window knobs checked against the
-            retry policy (see
-            :func:`~repro.reliability.validate_policy_interplay`) before
-            any faulty batch runs; defaults when omitted.
+            fault model is given without a policy.  It is checked
+            against the default :class:`~repro.reliability.DegradationPolicy`
+            (see :func:`~repro.reliability.validate_policy_interplay`)
+            before any faulty batch runs.
     """
 
     def __init__(self, model_config: Optional[BertConfig] = None,
                  hardware: Optional[HardwareConfig] = None,
-                 buckets: Sequence[int] = DEFAULT_BUCKETS,
                  max_batch: int = 64,
                  fault_model: Optional[FaultModel] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 degradation_policy: Optional[DegradationPolicy] = None
-                 ) -> None:
+                 retry_policy: Optional[RetryPolicy] = None) -> None:
         self.model_config = model_config or protein_bert_base()
         self.hardware = hardware or best_perf()
-        self.buckets = tuple(buckets)
         self.max_batch = max_batch
         self.fault_model = fault_model
         self.retry_policy = retry_policy or RetryPolicy()
-        self.degradation_policy = degradation_policy or DegradationPolicy()
         self._prose_power = power_report(self.hardware).system_power_w
 
     def _batches(self, workload: Workload) -> List[Tuple[int, int]]:
-        return bucket_batches(workload, self.buckets,
+        return bucket_batches(workload, DEFAULT_BUCKETS,
                               max_batch=self.max_batch)
 
     def _schedule(self, seq_len: int, batch: int) -> ScheduleResult:
@@ -185,7 +178,7 @@ class CampaignSimulator:
                 # progress at this batch's time scale (e.g. a straggler
                 # deadline shorter than the first backoff step), instead
                 # of silently retrying forever below.
-                validate_policy_interplay(policy, self.degradation_policy,
+                validate_policy_interplay(policy, DegradationPolicy(),
                                           nominal)
             padded_tokens += length * batch
             batch_start = total_seconds

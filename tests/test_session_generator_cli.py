@@ -1,5 +1,9 @@
 """Tests for the InferenceSession, hardware generator, and CLI."""
 
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -156,3 +160,52 @@ class TestCli:
         assert (tmp_path / "metrics.csv").exists()
         assert (tmp_path / "metrics.jsonl").exists()
         assert "trace" in capsys.readouterr().out
+
+    def test_fleet_all_rejects_single_run_flags(self, tmp_path, capsys):
+        trace = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--scenario", "all", "--tiny", "--batch", "64",
+                  "--trace-out", str(trace), "--seq-len", "64",
+                  "--per-instance"])
+        message = str(excinfo.value.code)
+        assert "--trace-out" in message and "--seq-len" in message
+        assert "--per-instance" in message
+        assert "--tiny" not in message and "--batch" not in message
+        assert not trace.exists()
+        assert main(["fleet", "--scenario", "all", "--tiny",
+                     "--batch", "64"]) == 0
+        assert "rack_power_loss" in capsys.readouterr().out
+
+    def test_monitor_all_rejects_single_run_flags(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["monitor", "--scenario", "all", "--tiny",
+                  "--dashboard-out", str(tmp_path / "d.txt"),
+                  "--width", "32", "--samples", "64"])
+        message = str(excinfo.value.code)
+        for flag in ("--dashboard-out", "--width", "--samples"):
+            assert flag in message
+        assert "--tiny" not in message
+        assert not (tmp_path / "d.txt").exists()
+
+
+#: Files whose ``python -m repro.cli ...`` lines must keep parsing.
+DOCUMENTED = ("README.md", "EXPERIMENTS.md", ".github/workflows/ci.yml")
+
+_COMMAND = re.compile(r"python -m repro\.cli\b([^`\n]*)")
+
+
+@pytest.mark.parametrize("name", DOCUMENTED)
+def test_documented_commands_parse(name):
+    """A renamed flag or subcommand fails here instead of going stale."""
+    root = Path(__file__).resolve().parents[1]
+    text = (root / name).read_text(encoding="utf-8").replace("\\\n", " ")
+    commands = [match.group(1).split("#")[0].strip()
+                for match in _COMMAND.finditer(text)]
+    assert commands, f"no repro.cli commands found in {name}"
+    broken = []
+    for command in commands:
+        try:
+            build_parser().parse_args(shlex.split(command))
+        except SystemExit:
+            broken.append(command)
+    assert not broken, f"{name}: commands that no longer parse: {broken}"
