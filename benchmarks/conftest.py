@@ -18,8 +18,27 @@ from __future__ import annotations
 import os
 import time
 
+import pytest
+
 #: Environment variable gating the observatory feed (a record path).
 RECORD_ENV = "REPRO_BENCH_APPEND"
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "exhaustive: a multi-minute proof; runs only when "
+        "selected with -m exhaustive")
+
+
+def pytest_collection_modifyitems(config, items):
+    """Skip ``exhaustive`` tests unless the ``-m`` expression names them."""
+    if "exhaustive" in (config.getoption("markexpr") or ""):
+        return
+    skip = pytest.mark.skip(reason="exhaustive proof; select with "
+                            "-m exhaustive")
+    for item in items:
+        if "exhaustive" in item.keywords:
+            item.add_marker(skip)
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -72,7 +72,8 @@ class EncoderLayer:
         maybe_record(recorder, elementwise_op(
             OpKind.ADD, hidden.shape,
             name=f"layer.{self.index}.attention.residual", layer=self.index))
-        hidden = self.attention_norm.forward(attended + hidden, recorder)
+        attended += hidden
+        hidden = self.attention_norm.forward(attended, recorder)
 
         inner = self.intermediate.forward(hidden, recorder)
         maybe_record(recorder, elementwise_op(
@@ -84,7 +85,8 @@ class EncoderLayer:
         maybe_record(recorder, elementwise_op(
             OpKind.ADD, hidden.shape,
             name=f"layer.{self.index}.output.residual", layer=self.index))
-        return self.output_norm.forward(projected + hidden, recorder)
+        projected += hidden
+        return self.output_norm.forward(projected, recorder)
 
 
 class ProteinBert:

@@ -15,10 +15,10 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..trace.ops import OpKind, bmm_op, elementwise_op
+from ..trace.ops import OpKind, elementwise_op
 from ..trace.recorder import TraceRecorder, maybe_record
-from .activations import gelu, softmax
-from .attention import ATTENTION_MASK_VALUE
+from .activations import gelu
+from .attention import ATTENTION_MASK_VALUE, attend
 from .config import BertConfig
 from .layers import Embedding, LayerNorm, Linear
 from .weights import _truncated_normal
@@ -53,55 +53,10 @@ class CrossAttention:
     def forward(self, hidden: np.ndarray, kv: np.ndarray,
                 additive_bias: Optional[np.ndarray] = None,
                 recorder: Optional[TraceRecorder] = None) -> np.ndarray:
-        batch, q_len, width = hidden.shape
-        kv_len = kv.shape[1]
-        cfg = self.config
-        heads, head_dim = cfg.num_heads, cfg.head_dim
-
-        q = self.query.forward(hidden, recorder)
-        k = self.key.forward(kv, recorder)
-        v = self.value.forward(kv, recorder)
-
-        def split(x: np.ndarray, length: int) -> np.ndarray:
-            maybe_record(recorder, elementwise_op(
-                OpKind.TRANSPOSE, (batch, length, heads, head_dim),
-                name=f"{self.name}.split_heads", layer=self.layer))
-            return (x.reshape(batch, length, heads, head_dim)
-                    .transpose(0, 2, 1, 3))
-
-        qh = split(q, q_len)
-        kh = split(k, kv_len)
-        vh = split(v, kv_len)
-
-        maybe_record(recorder, bmm_op(
-            batch * heads, q_len, head_dim, kv_len,
-            name=f"{self.name}.scores", layer=self.layer))
-        scores = qh @ kh.transpose(0, 1, 3, 2)
-        maybe_record(recorder, elementwise_op(
-            OpKind.DIV, (batch, heads, q_len, kv_len),
-            name=f"{self.name}.scale", layer=self.layer,
-            metadata={"divisor": float(np.sqrt(head_dim))}))
-        scores = scores / np.sqrt(head_dim).astype(np.float32)
-        if additive_bias is not None:
-            maybe_record(recorder, elementwise_op(
-                OpKind.ADD, (batch, heads, q_len, kv_len),
-                name=f"{self.name}.bias", layer=self.layer))
-            scores = scores + additive_bias.astype(np.float32)
-
-        maybe_record(recorder, elementwise_op(
-            OpKind.SOFTMAX, (batch, heads, q_len, kv_len),
-            name=f"{self.name}.softmax", layer=self.layer))
-        probabilities = softmax(scores, axis=-1)
-
-        maybe_record(recorder, bmm_op(
-            batch * heads, q_len, kv_len, head_dim,
-            name=f"{self.name}.context", layer=self.layer))
-        context = probabilities @ vh
-        maybe_record(recorder, elementwise_op(
-            OpKind.TRANSPOSE, (batch, q_len, heads, head_dim),
-            name=f"{self.name}.merge_heads", layer=self.layer))
-        merged = context.transpose(0, 2, 1, 3).reshape(batch, q_len, width)
-        return self.output.forward(merged, recorder)
+        return attend(self.query, self.key, self.value, self.output,
+                      hidden, kv, self.config.num_heads, additive_bias,
+                      name=self.name, bias_name="bias", layer=self.layer,
+                      recorder=recorder)
 
 
 def initialize_decoder_weights(config: BertConfig, seed: int = 0
@@ -203,7 +158,8 @@ class DecoderLayer:
             OpKind.ADD, hidden.shape,
             name=f"decoder.layer.{self.index}.self.residual",
             layer=self.index))
-        hidden = self.self_norm.forward(attended + hidden, recorder)
+        attended += hidden
+        hidden = self.self_norm.forward(attended, recorder)
 
         crossed = self.cross_attention.forward(hidden, encoder_hidden,
                                                None, recorder)
@@ -211,7 +167,8 @@ class DecoderLayer:
             OpKind.ADD, hidden.shape,
             name=f"decoder.layer.{self.index}.cross.residual",
             layer=self.index))
-        hidden = self.cross_norm.forward(crossed + hidden, recorder)
+        crossed += hidden
+        hidden = self.cross_norm.forward(crossed, recorder)
 
         inner = self.intermediate.forward(hidden, recorder)
         maybe_record(recorder, elementwise_op(
@@ -223,7 +180,8 @@ class DecoderLayer:
             OpKind.ADD, hidden.shape,
             name=f"decoder.layer.{self.index}.output.residual",
             layer=self.index))
-        return self.output_norm.forward(projected + hidden, recorder)
+        projected += hidden
+        return self.output_norm.forward(projected, recorder)
 
 
 class ProteinSeq2Seq:

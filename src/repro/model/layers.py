@@ -62,7 +62,7 @@ class Linear:
                 OpKind.ADD, x.shape[:-1] + (self.out_features,),
                 name=f"{self.name}.bias", layer=self.layer,
                 metadata={"vector_operand": 1.0}))
-            y = y + self.bias
+            y += self.bias
         return y
 
 
