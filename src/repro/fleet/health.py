@@ -13,7 +13,9 @@ inference can be re-sharded.  The monitor is the single capacity
 authority for the scheduler: :meth:`HealthMonitor.capacity_factor`
 folds the state machine, any scripted degradation factor, a link-flap
 multiplier, and the recovery warm-up discount into one number in
-``[0, 1]``.
+``[0, 1]``.  That number is recomputed only when a record changes
+(:meth:`~HealthMonitor.transition`, :meth:`~HealthMonitor.set_link_factor`),
+so the scheduler and every monitoring tick read it at constant cost.
 
 The monitor also runs the per-instance circuit breaker: an instance
 that hard-fails more than ``DegradationPolicy.circuit_breaker_failures``
@@ -115,10 +117,14 @@ class _InstanceHealth:
     degraded_factor: float = 1.0
     link_factor: float = 1.0
     hard_failures: int = 0
+    capacity: float = 1.0       # stored formula value; see _capacity
 
 
 class HealthMonitor:
     """Tracks every instance's state machine and capacity factor.
+
+    The heartbeat and breaker threshold are fixed at construction: each
+    record stores its capacity factor, recomputed by the two mutators.
 
     Args:
         instance_ids: all instances, in scheduling order.
@@ -137,8 +143,8 @@ class HealthMonitor:
                  span_target: Optional[Callable[[str],
                                                Tuple[str, str]]] = None
                  ) -> None:
-        self.heartbeat = heartbeat or HeartbeatConfig()
-        self.circuit_breaker_failures = circuit_breaker_failures
+        self._heartbeat = heartbeat or HeartbeatConfig()
+        self._circuit_breaker_failures = circuit_breaker_failures
         self.transitions: List[HealthTransition] = []
         self._tracer = tracer
         self._span_target = span_target or (lambda iid: (iid, "health"))
@@ -150,15 +156,23 @@ class HealthMonitor:
 
     # -- queries ---------------------------------------------------------
 
+    @property
+    def heartbeat(self) -> HeartbeatConfig:
+        return self._heartbeat
+
+    @property
+    def circuit_breaker_failures(self) -> int:
+        return self._circuit_breaker_failures
+
     def state(self, instance_id: str) -> HealthState:
         return self._records[instance_id].state
 
     def breaker_open(self, instance_id: str) -> bool:
         """True when the circuit breaker has quarantined the instance."""
-        if self.circuit_breaker_failures <= 0:
+        if self._circuit_breaker_failures <= 0:
             return False
         return (self._records[instance_id].hard_failures
-                >= self.circuit_breaker_failures)
+                >= self._circuit_breaker_failures)
 
     def open_breakers(self) -> Tuple[str, ...]:
         return tuple(instance_id for instance_id in self._records
@@ -166,25 +180,28 @@ class HealthMonitor:
 
     def capacity_factor(self, instance_id: str) -> float:
         """Effective capacity multiplier in [0, 1] for the scheduler."""
-        record = self._records[instance_id]
+        return self._records[instance_id].capacity
+
+    def schedulable(self, instance_id: str) -> bool:
+        return self._records[instance_id].capacity > 0.0
+
+    def alive_count(self) -> int:
+        """Instances the scheduler may still place work on."""
+        return sum(1 for record in self._records.values()
+                   if record.capacity > 0.0)
+
+    def _capacity(self, instance_id: str, record: _InstanceHealth) -> float:
+        """The capacity formula, recomputed whenever a record changes."""
         if record.state is HealthState.DEAD or self.breaker_open(
                 instance_id):
             return 0.0
         if record.state is HealthState.RECOVERING:
-            base = self.heartbeat.recovering_capacity
+            base = self._heartbeat.recovering_capacity
         elif record.state is HealthState.DEGRADED:
             base = record.degraded_factor
         else:
             base = 1.0
         return base * record.link_factor
-
-    def schedulable(self, instance_id: str) -> bool:
-        return self.capacity_factor(instance_id) > 0.0
-
-    def alive_count(self) -> int:
-        """Instances the scheduler may still place work on."""
-        return sum(1 for instance_id in self._records
-                   if self.schedulable(instance_id))
 
     # -- transitions -----------------------------------------------------
 
@@ -210,6 +227,7 @@ class HealthMonitor:
             record.degraded_factor = 1.0
         record.state = to_state
         record.since = at_seconds
+        record.capacity = self._capacity(instance_id, record)
         if self._tracer is not None:
             pid, tid = self._span_target(instance_id)
             self._tracer.instant(
@@ -221,7 +239,9 @@ class HealthMonitor:
         """Apply (or clear, with 1.0) a link-flap throughput multiplier."""
         if not 0.0 < factor <= 1.0:
             raise ValueError(f"link factor must be in (0, 1], got {factor}")
-        self._records[instance_id].link_factor = factor
+        record = self._records[instance_id]
+        record.link_factor = factor
+        record.capacity = self._capacity(instance_id, record)
 
     def transitions_of(self, instance_id: str) -> Tuple[HealthTransition,
                                                         ...]:

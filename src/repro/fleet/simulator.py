@@ -54,7 +54,7 @@ from ..reliability.policy import (
 )
 from ..monitor.engine import Monitor, SloOutcome
 from ..sched.host import HOST_POWER_WATTS
-from ..telemetry import MetricsRegistry, Tracer
+from ..telemetry import MetricsRegistry, TimeSeries, Tracer
 from .health import HealthMonitor, HealthState, HeartbeatConfig
 from .scenarios import (
     DEGRADE,
@@ -191,6 +191,7 @@ class _Sim:
     lost: float = 0.0           # in-limbo work awaiting detection
     finish_seconds: float = 0.0
     has_recovery_work: bool = False
+    rate_series: Optional[TimeSeries] = None  # monitored runs only
 
     @property
     def running(self) -> bool:
@@ -250,6 +251,9 @@ class FleetSimulator:
         self._power_cache: Dict[str, float] = {}
         rates = {instance.instance_id: self._backend_rate(instance)
                  for instance in topology.instances}
+        #: Full-health fleet rate, the denominator of every sampled
+        #: capacity fraction.
+        self._total_rate = sum(rates.values())
         self.scheduler = DegradationAwareScheduler(
             topology, rates, self.fabric, self.policy, self.payload_bytes)
 
@@ -355,6 +359,9 @@ class FleetSimulator:
             events.push(at, FAIL, instance.instance_id, None)
         if monitor is not None:
             monitor.begin(nominal)
+            for instance_id, state in states.items():
+                state.rate_series = monitor.store.series(
+                    f"instance/{instance_id}/rate")
             events.push(monitor.sample_interval, "sample", "", None)
 
         # Initial dispatch: the nominal plan, since everyone is healthy.
@@ -735,22 +742,28 @@ class FleetSimulator:
         would perturb floating-point accumulation order).  In-flight
         work is estimated read-only from each instance's current
         constant-rate segment, which is exact under the fluid model.
+        The per-instance rate series are resolved once per run (see
+        :meth:`run`) and the full-health fleet rate once per simulator,
+        so a tick costs one pass over the instances.
         """
         if monitor is None:
             return
-        total_rate = sum(state.rate for state in states.values())
+        total_rate = self._total_rate
         healthy_rate = sum(
-            state.rate * health.capacity_factor(state.instance.instance_id)
-            for state in states.values())
+            state.rate * health.capacity_factor(instance_id)
+            for instance_id, state in states.items())
         capacity = healthy_rate / total_rate if total_rate > 0.0 else 0.0
         completed = 0.0
+        busy = False
         for state in states.values():
             completed += state.completed
-            if state.running and t > state.segment_start:
-                completed += min(state.remaining,
-                                 state.eff_rate * (t - state.segment_start))
-            monitor.record(t, f"instance/{state.instance.instance_id}/rate",
-                           state.eff_rate)
+            if state.running:
+                busy = True
+                if t > state.segment_start:
+                    completed += min(
+                        state.remaining,
+                        state.eff_rate * (t - state.segment_start))
+            state.rate_series.append(t, state.eff_rate)
         monitor.record(t, "fleet/capacity_fraction", capacity)
         monitor.record(t, "fleet/completed", completed)
         monitor.record(t, "fleet/alive", float(health.alive_count()))
@@ -763,9 +776,7 @@ class FleetSimulator:
         monitor.slo_event(t, "availability", good=capacity,
                           bad=1.0 - capacity)
         monitor.evaluate(t)
-        if events is not None and (
-                any(state.running for state in states.values())
-                or events.peek_time() is not None):
+        if events is not None and (busy or events.peek_time() is not None):
             events.push(t + monitor.sample_interval, "sample", "", None)
 
     def _on_flap_end(self, t: float, instance_id: str,

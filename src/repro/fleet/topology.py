@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from ..arch.config import HardwareConfig, best_perf
@@ -132,12 +133,12 @@ class Instance:
     slot: int
     backend: BackendSpec = field(default_factory=BackendSpec)
 
-    @property
+    @cached_property
     def instance_id(self) -> str:
         """Stable topology address, e.g. ``r0h1s2``."""
         return f"r{self.rack}h{self.host}s{self.slot}"
 
-    @property
+    @cached_property
     def host_id(self) -> str:
         return f"r{self.rack}h{self.host}"
 
@@ -159,13 +160,14 @@ class FleetTopology:
     def __post_init__(self) -> None:
         if not self.instances:
             raise ValueError("a fleet needs at least one instance")
-        ids = [instance.instance_id for instance in self.instances]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate instance positions in topology")
         ordered = tuple(sorted(
             self.instances,
             key=lambda inst: (inst.rack, inst.host, inst.slot)))
+        index = {instance.instance_id: instance for instance in ordered}
+        if len(index) != len(ordered):
+            raise ValueError("duplicate instance positions in topology")
         object.__setattr__(self, "instances", ordered)
+        object.__setattr__(self, "_by_id", index)
 
     # -- shape -----------------------------------------------------------
 
@@ -191,10 +193,10 @@ class FleetTopology:
                      if inst.rack == rack and inst.host == host)
 
     def by_id(self, instance_id: str) -> Instance:
-        for instance in self.instances:
-            if instance.instance_id == instance_id:
-                return instance
-        raise KeyError(f"no instance '{instance_id}' in topology")
+        instance = self._by_id.get(instance_id)
+        if instance is None:
+            raise KeyError(f"no instance '{instance_id}' in topology")
+        return instance
 
     # -- fabric distance -------------------------------------------------
 

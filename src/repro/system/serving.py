@@ -163,6 +163,7 @@ class CampaignSimulator:
         retries = stragglers = failures = dropped = 0
         faulty = self.fault_model is not None and self.fault_model.active
         policy = self.retry_policy
+        degradation = DegradationPolicy() if faulty else None
         batches = self._batches(workload)
         if monitor is not None and batches:
             # The horizon is the fault-free campaign: every schedule here
@@ -178,8 +179,7 @@ class CampaignSimulator:
                 # progress at this batch's time scale (e.g. a straggler
                 # deadline shorter than the first backoff step), instead
                 # of silently retrying forever below.
-                validate_policy_interplay(policy, DegradationPolicy(),
-                                          nominal)
+                validate_policy_interplay(policy, degradation, nominal)
             padded_tokens += length * batch
             batch_start = total_seconds
             batch_name = f"batch{index}[len={length} n={batch}]"

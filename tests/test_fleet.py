@@ -1,6 +1,10 @@
 """Tests for the fleet simulator: topology, health, scheduling, chaos."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fleet import (
     BackendSpec,
@@ -19,6 +23,7 @@ from repro.fleet import (
     build_scenario,
     resolve_target,
 )
+from repro.fleet.health import _ALLOWED
 from repro.model.config import protein_bert_tiny
 from repro.reliability import (
     DegradationPolicy,
@@ -29,6 +34,45 @@ from repro.reliability import (
 from repro.telemetry import MetricsRegistry, Tracer
 
 TINY = protein_bert_tiny()
+
+
+def reference_breaker_open(monitor, instance_id):
+    """The circuit-breaker test, from the record's raw fields."""
+    threshold = monitor.circuit_breaker_failures
+    return (threshold > 0
+            and monitor._records[instance_id].hard_failures >= threshold)
+
+
+def reference_capacity_factor(monitor, instance_id):
+    """The capacity formula as it was before the monitor stored it:
+    recomputed from the record's raw fields on every query.
+
+    Kept verbatim as the parity reference for the stored value."""
+    record = monitor._records[instance_id]
+    if record.state is HealthState.DEAD or reference_breaker_open(
+            monitor, instance_id):
+        return 0.0
+    if record.state is HealthState.RECOVERING:
+        base = monitor.heartbeat.recovering_capacity
+    elif record.state is HealthState.DEGRADED:
+        base = record.degraded_factor
+    else:
+        base = 1.0
+    return base * record.link_factor
+
+
+HEALTH_IDS = ("a", "b", "c")
+
+#: One step: (instance, action, successor pick, factor).  ``transition``
+#: takes a legal successor, ``illegal`` one the state machine refuses,
+#: ``link`` sets a link factor (None clears it), ``bad_link`` an
+#: out-of-range one.
+health_steps = st.lists(st.tuples(
+    st.sampled_from(HEALTH_IDS),
+    st.sampled_from(("transition", "transition", "illegal", "link",
+                     "bad_link")),
+    st.integers(0, 3),
+    st.one_of(st.none(), st.floats(0.01, 1.0))), max_size=40)
 
 
 def tiny_simulator(topology=None, **kwargs):
@@ -48,6 +92,24 @@ class TestTopology:
         assert len(topology.instances) == 12
         assert topology.instances[0].instance_id == "r0h0s0"
         assert topology.by_id("r1h1s2").rack == 1
+
+    def test_by_id_finds_every_instance(self):
+        topology = build_fleet(racks=2, hosts_per_rack=3,
+                               instances_per_host=2, heterogeneous=True)
+        for instance in topology.instances:
+            assert topology.by_id(instance.instance_id) is instance
+        with pytest.raises(KeyError) as excinfo:
+            topology.by_id("r9h9s9")
+        assert excinfo.value.args == ("no instance 'r9h9s9' in topology",)
+
+    def test_cached_ids_keep_value_semantics(self):
+        first, second = Instance(1, 0, 2), Instance(1, 0, 2)
+        assert first.instance_id == "r1h0s2" and first.host_id == "r1h0"
+        assert first == second and hash(first) == hash(second)
+        topology = FleetTopology(instances=(second, Instance(0, 0, 0)))
+        clone = pickle.loads(pickle.dumps(topology))
+        assert clone == topology
+        assert clone.by_id("r1h0s2") == first
 
     def test_fabric_tiers_from_coordinator(self):
         topology = build_fleet(racks=2, hosts_per_rack=2,
@@ -145,6 +207,50 @@ class TestHealthMonitor:
         assert monitor.capacity_factor("c") == 0.0
         assert monitor.open_breakers() == ("c",)
         assert monitor.alive_count() == 2
+
+    def assert_matches_reference(self, monitor):
+        for instance_id in HEALTH_IDS:
+            expected = reference_capacity_factor(monitor, instance_id)
+            assert monitor.capacity_factor(instance_id) == expected
+            assert monitor.schedulable(instance_id) == (expected > 0.0)
+            assert monitor.breaker_open(instance_id) \
+                == reference_breaker_open(monitor, instance_id)
+        assert monitor.alive_count() == sum(
+            1 for instance_id in HEALTH_IDS
+            if reference_capacity_factor(monitor, instance_id) > 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(breaker=st.integers(0, 3), recovering=st.floats(0.01, 1.0),
+           degraded=st.floats(0.01, 1.0), steps=health_steps)
+    def test_stored_capacity_matches_reference(self, breaker, recovering,
+                                               degraded, steps):
+        monitor = self.monitor(
+            heartbeat=HeartbeatConfig(recovering_capacity=recovering,
+                                      degraded_capacity=degraded),
+            circuit_breaker_failures=breaker)
+        self.assert_matches_reference(monitor)
+        for t, (instance_id, action, pick, factor) in enumerate(steps):
+            state = monitor.state(instance_id)
+            if action == "transition":
+                allowed = _ALLOWED[state]
+                monitor.transition(instance_id, allowed[pick % len(allowed)],
+                                   float(t), degraded_factor=factor)
+            elif action == "illegal":
+                refused = [to for to in HealthState
+                           if to not in _ALLOWED[state]]
+                with pytest.raises(ValueError, match="illegal"):
+                    monitor.transition(instance_id,
+                                       refused[pick % len(refused)],
+                                       float(t))
+                assert monitor.state(instance_id) is state
+            elif action == "link":
+                monitor.set_link_factor(
+                    instance_id, 1.0 if factor is None else factor)
+            else:
+                with pytest.raises(ValueError, match="link factor"):
+                    monitor.set_link_factor(instance_id,
+                                           (0.0, -0.5, 1.5, 2.0)[pick])
+            self.assert_matches_reference(monitor)
 
     def test_detection_latency_scales_with_heartbeat(self):
         heartbeat = HeartbeatConfig(interval_fraction=0.02,

@@ -6,6 +6,7 @@ the whole pipeline is deterministic per seed.
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -238,6 +239,64 @@ class TestFleetIntegration:
                                monitor=fleet_monitor())
         text = report.summary()
         assert "pages=" in text and "budget_left=" in text
+
+
+def monitor_digest(monitor):
+    """SHA-256 over everything a finished monitor recorded.
+
+    Every series' name, sample times and values (``repr``, so every
+    float bit counts), the marks, every alert's rule, fired, resolved
+    and peak values, and the final budgets.
+    """
+    lines = [f"ticks {monitor.ticks} {monitor.sample_interval!r}"]
+    for series in monitor.store:
+        times = [t for t, _ in series.samples()]
+        values = [v for _, v in series.samples()]
+        lines.append(f"series {series.name} {series.dropped} "
+                     f"{times!r} {values!r}")
+    report = monitor.report()
+    lines.extend(f"mark {mark!r}" for mark in report.marks)
+    lines.extend(f"alert {alert.rule} {alert.severity} {alert.fired_at!r} "
+                 f"{alert.value!r} {alert.resolved_at!r} "
+                 f"{alert.peak_value!r}" for alert in report.alerts)
+    lines.extend(f"budget {budget!r}" for budget in report.budgets)
+    text = "\n".join(lines) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+#: Digests recorded while every tick still re-derived ids, capacity
+#: factors and series names; a change here means the monitors no longer
+#: record the same samples.
+FLEET_MONITOR_DIGESTS = {
+    None:
+        "70bbb691bd2637b22d6a6f7a2b82672af2715e944aeda5e0ff889fc465361346",
+    "rack_power_loss":
+        "c3764a35d4e69610fef8887bfdf8fdc7b553b16ec6dbe0e0af43290accc56ed5",
+    "link_flap_storm":
+        "615d07f7ce13448f6cbfafdee425fee96756a355527149fb0fbd1c474b685047",
+    "slow_node":
+        "f2605d8096f0a7a82b1bec7f5b00bb202ab27ab9bb60af95782811fc238dcecd",
+    "rolling_restart":
+        "da169d355266124146f206954f48c2d8229559e915a89633342968033493bafb",
+}
+
+SERVING_MONITOR_DIGEST = (
+    "8f7c567cee173a4c2be2585b67c21cab78f669367e0a351498424a6aeadea716")
+
+
+class TestRecordedSamplesGolden:
+    @pytest.mark.parametrize("name", (None,) + CHAOS_SCENARIOS)
+    def test_fleet_run_records_the_same_samples(self, name):
+        simulator, scenario = tiny_simulator(name)
+        monitor = fleet_monitor()
+        simulator.run(batch=64, scenario=scenario, monitor=monitor)
+        assert monitor_digest(monitor) == FLEET_MONITOR_DIGESTS[name]
+
+    def test_serving_run_records_the_same_samples(self):
+        monitor = serving_monitor()
+        TestServingIntegration()._simulator().run_on_prose(
+            screening_campaign(library_size=32, seed=11), monitor=monitor)
+        assert monitor_digest(monitor) == SERVING_MONITOR_DIGEST
 
 
 class TestServingIntegration:
