@@ -242,6 +242,7 @@ def _fleet_model(args: argparse.Namespace):
 def cmd_fleet(args: argparse.Namespace) -> int:
     from .experiments import chaos_campaign
     from .fleet import SCENARIO_BUILDERS, build_fleet
+    from .fleet.simulator import record_metrics
     from .reliability import DegradationPolicy
     from .telemetry import MetricsRegistry, Tracer
 
@@ -273,9 +274,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             circuit_breaker_failures=args.breaker_failures),
         seq_len=args.seq_len, reference_batch=args.reference_batch)
     tracer = Tracer() if args.trace_out else None
-    metrics = MetricsRegistry()
     report = simulator.run(batch=args.batch, scenario=scenario,
-                           tracer=tracer, metrics=metrics)
+                           tracer=tracer)
+    metrics = MetricsRegistry()
+    record_metrics(report, metrics)
 
     print(f"fleet:     {report.topology}")
     if scenario is not None:

@@ -176,27 +176,25 @@ class DegradationAwareScheduler:
             work = work - shed
 
         total_weight = sum(weight for _, weight in weights)
-        raw = [(instance_id, work * weight / total_weight)
+        raw = [(instance_id, work * weight / total_weight, weight)
                for instance_id, weight in weights]
         if integral:
-            floors = [(instance_id, float(int(amount)))
-                      for instance_id, amount in raw]
-            leftover = int(round(work - sum(a for _, a in floors)))
+            amounts = [float(int(amount)) for _, amount, _ in raw]
+            leftover = int(round(work - sum(amounts)))
             remainders = sorted(
                 range(len(raw)),
-                key=lambda i: (-(raw[i][1] - floors[i][1]), i))
-            amounts = [amount for _, amount in floors]
+                key=lambda i: (-(raw[i][1] - amounts[i]), i))
             for i in remainders[:leftover]:
                 amounts[i] += 1.0
-            raw = [(instance_id, amounts[i])
-                   for i, (instance_id, _) in enumerate(raw)]
+            raw = [(instance_id, amounts[i], weight)
+                   for i, (instance_id, _, weight) in enumerate(raw)]
         assignments = tuple(
             ShardAssignment(
                 instance_id=instance_id, amount=amount,
                 dispatch_seconds=self.dispatch_seconds(instance_id,
                                                        amount),
-                effective_rate=dict(weights)[instance_id])
-            for instance_id, amount in raw if amount > 0.0)
+                effective_rate=weight)
+            for instance_id, amount, weight in raw if amount > 0.0)
         return SharedPlan(assignments=assignments, shed=shed,
                           capacity_fraction=capacity_fraction,
                           brownout=brownout)

@@ -47,11 +47,7 @@ from ..model.config import BertConfig, protein_bert_base
 from ..parallel.memo import cached_schedule
 from ..physical.power import power_report
 from ..reliability.faults import FaultModel
-from ..reliability.policy import (
-    DegradationPolicy,
-    RetryPolicy,
-    validate_policy_interplay,
-)
+from ..reliability.policy import DegradationPolicy
 from ..monitor.engine import Monitor, SloOutcome
 from ..sched.host import HOST_POWER_WATTS
 from ..telemetry import MetricsRegistry, TimeSeries, Tracer
@@ -70,6 +66,7 @@ from .topology import (
     GPU_A100,
     PROSE,
     TPU_V2,
+    BackendSpec,
     FabricModel,
     FleetTopology,
     Instance,
@@ -201,6 +198,30 @@ class _Sim:
     def projected_finish(self) -> float:
         return self.segment_start + self.remaining / self.eff_rate
 
+    @property
+    def category(self) -> str:
+        """Trace category of the work draining: re-sharded or original."""
+        return "recovery" if self.has_recovery_work else "shard"
+
+    @property
+    def track(self) -> Tuple[str, str]:
+        """The (pid, tid) trace track of this instance."""
+        return self.instance.host_id, f"s{self.instance.slot}"
+
+    def progress(self, t: float) -> None:
+        """Fold the current constant-rate segment forward to ``t``."""
+        if self.remaining <= 0.0 or self.eff_rate <= 0.0:
+            self.segment_start = max(self.segment_start, t)
+            return
+        if t <= self.segment_start:
+            return
+        dt = t - self.segment_start
+        done = min(self.remaining, self.eff_rate * dt)
+        self.remaining -= done
+        self.completed += done
+        self.active_seconds += dt
+        self.segment_start = t
+
 
 class FleetSimulator:
     """Runs one workload over a fleet under an optional chaos script.
@@ -211,11 +232,6 @@ class FleetSimulator:
             Protein-BERT-base).
         policy: degradation policy — detection scale, outage floor,
             brownout floor, shed fraction, circuit breaker.
-        retry_policy: serving-layer retry knobs; only validated here
-            (the interplay check of
-            :func:`~repro.reliability.validate_policy_interplay`), so
-            a config that would loop at the serving layer fails fast at
-            fleet-plan time.
         fault_model: seeded random-fault source layered *under* any
             scripted scenario: spontaneous instance failures and
             fabric transients.  Inert by default.
@@ -227,7 +243,6 @@ class FleetSimulator:
     def __init__(self, topology: FleetTopology,
                  model_config: Optional[BertConfig] = None,
                  policy: Optional[DegradationPolicy] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
                  fault_model: Optional[FaultModel] = None,
                  seq_len: int = 128,
                  reference_batch: int = 8) -> None:
@@ -238,7 +253,6 @@ class FleetSimulator:
         self.topology = topology
         self.model_config = model_config or protein_bert_base()
         self.policy = policy or DegradationPolicy()
-        self.retry_policy = retry_policy
         self.heartbeat = HeartbeatConfig()
         self.fabric = FabricModel()
         self.fault_model = fault_model or FaultModel()
@@ -247,73 +261,72 @@ class FleetSimulator:
         #: Tokens in (int32) plus the pooled embedding out (fp32).
         self.payload_bytes = float(
             4 * seq_len + 4 * self.model_config.hidden_size)
-        self._rate_cache: Dict[str, float] = {}
-        self._power_cache: Dict[str, float] = {}
-        rates = {instance.instance_id: self._backend_rate(instance)
-                 for instance in topology.instances}
+        calibrated: Dict[str, Tuple[float, float]] = {}
+        for instance in topology.instances:
+            if instance.backend.label not in calibrated:
+                calibrated[instance.backend.label] = self._calibrate(
+                    instance.backend)
+        #: (inferences/second, watts) of each instance's backend, in
+        #: topology order.
+        self._backends = tuple(calibrated[instance.backend.label]
+                               for instance in topology.instances)
         #: Full-health fleet rate, the denominator of every sampled
         #: capacity fraction.
-        self._total_rate = sum(rates.values())
+        self._total_rate = sum(rate for rate, _ in self._backends)
         self.scheduler = DegradationAwareScheduler(
-            topology, rates, self.fabric, self.policy, self.payload_bytes)
+            topology,
+            {instance.instance_id: rate for instance, (rate, _)
+             in zip(topology.instances, self._backends)},
+            self.fabric, self.policy, self.payload_bytes)
 
-    # -- backend calibration --------------------------------------------
-
-    def _backend_rate(self, instance: Instance) -> float:
-        """Nominal inferences/second of one instance's backend."""
-        spec = instance.backend
-        key = spec.label
-        if key in self._rate_cache:
-            return self._rate_cache[key]
+    def _calibrate(self, spec: BackendSpec) -> Tuple[float, float]:
+        """Nominal inferences/second and power draw of one backend."""
         if spec.kind == PROSE:
             schedule = cached_schedule(
                 spec.hardware, self.model_config,
                 batch=self.reference_batch, seq_len=self.seq_len)
-            rate = self.reference_batch / schedule.makespan_seconds
-            power = power_report(spec.hardware).accelerator_power_w
-        else:
-            device = {GPU_A100: a100, TPU_V2: tpu_v2}.get(spec.kind,
-                                                          tpu_v3)()
-            rate = device.throughput(self.model_config,
-                                     batch=self.reference_batch,
-                                     seq_len=self.seq_len)
-            power = {GPU_A100: A100_MEASURED_POWER_WATTS,
-                     TPU_V2: TPUV2_POWER_WATTS}.get(spec.kind,
-                                                    TPUV3_POWER_WATTS)
-        self._rate_cache[key] = rate
-        self._power_cache[key] = power
-        return rate
-
-    def _backend_power(self, instance: Instance) -> float:
-        self._backend_rate(instance)
-        return self._power_cache[instance.backend.label]
+            return (self.reference_batch / schedule.makespan_seconds,
+                    power_report(spec.hardware).accelerator_power_w)
+        device = {GPU_A100: a100, TPU_V2: tpu_v2}.get(spec.kind, tpu_v3)()
+        power = {GPU_A100: A100_MEASURED_POWER_WATTS,
+                 TPU_V2: TPUV2_POWER_WATTS}.get(spec.kind, TPUV3_POWER_WATTS)
+        return device.throughput(self.model_config,
+                                 batch=self.reference_batch,
+                                 seq_len=self.seq_len), power
 
     # -- nominal schedule ------------------------------------------------
 
-    def nominal_plan(self, batch: int) -> SharedPlan:
-        """The full-health shard plan (the homogeneous reference)."""
+    def _healthy_plan(self, batch: int) -> Tuple[HealthMonitor, SharedPlan]:
+        """A fresh health monitor and the nominal plan made on it."""
         health = HealthMonitor(
             [inst.instance_id for inst in self.topology.instances],
-            heartbeat=self.heartbeat)
+            heartbeat=self.heartbeat,
+            circuit_breaker_failures=self.policy.circuit_breaker_failures)
         plan = self.scheduler.plan(float(batch), health)
         assert plan is not None  # a fresh monitor always has capacity
-        return plan
+        return health, plan
 
-    def nominal_makespan(self, batch: int) -> float:
-        """Fleet makespan of the nominal plan on a healthy fleet."""
-        plan = self.nominal_plan(batch)
+    def _makespan(self, plan: SharedPlan) -> float:
+        """Fleet makespan of a plan drained at full health."""
         rates = self.scheduler.rates
         return max(
             assignment.dispatch_seconds
             + assignment.amount / rates[assignment.instance_id]
             for assignment in plan.assignments)
 
+    def nominal_plan(self, batch: int) -> SharedPlan:
+        """The full-health shard plan (the homogeneous reference)."""
+        return self._healthy_plan(batch)[1]
+
+    def nominal_makespan(self, batch: int) -> float:
+        """Fleet makespan of the nominal plan on a healthy fleet."""
+        return self._makespan(self.nominal_plan(batch))
+
     # -- simulation ------------------------------------------------------
 
     def run(self, batch: int = 256,
             scenario: Optional[ChaosScenario] = None,
             tracer: Optional[Tracer] = None,
-            metrics: Optional[MetricsRegistry] = None,
             monitor: Optional[Monitor] = None) -> FleetReport:
         """Simulate ``batch`` inferences under the chaos script.
 
@@ -325,85 +338,127 @@ class FleetSimulator:
         samples fleet series at its tick cadence through read-only
         "sample" events on the same queue — it observes the simulation
         without touching its state, so every simulated number is
-        bit-identical with and without one.
+        bit-identical with and without one.  :func:`record_metrics`
+        turns the returned report into registry metrics.
         """
         if batch <= 0:
             raise ValueError("batch must be positive")
         self.fault_model.reset()
-        nominal = self.nominal_makespan(batch)
-        if self.retry_policy is not None:
-            validate_policy_interplay(self.retry_policy, self.policy,
-                                      nominal)
-        health = HealthMonitor(
-            [inst.instance_id for inst in self.topology.instances],
-            heartbeat=self.heartbeat,
-            circuit_breaker_failures=self.policy.circuit_breaker_failures,
-            tracer=tracer, span_target=self._span_target)
-        states: Dict[str, _Sim] = {}
-        for instance in self.topology.instances:
-            states[instance.instance_id] = _Sim(
-                instance=instance, rate=self._backend_rate(instance),
-                power_watts=self._backend_power(instance))
+        # Everyone starts healthy, so the run dispatches the nominal plan.
+        health, plan = self._healthy_plan(batch)
+        run = _Run(self, health, self._makespan(plan), tracer, monitor)
+        run.script(scenario)
+        run.dispatch(plan)
+        run.loop()
+        return run.report(batch, scenario)
 
-        counters = _Counters()
-        events = _EventQueue()
+
+def record_metrics(report: FleetReport, metrics: MetricsRegistry) -> None:
+    """Record a fleet run's tallies, gauges and instance finish times."""
+    for name in ("completed", "shed", "reshards", "failures", "detections",
+                 "brownouts", "link_retransmissions"):
+        metrics.counter(f"fleet/{name}").inc(getattr(report, name))
+    for name in ("goodput", "availability", "recovery_seconds",
+                 "makespan_seconds", "energy_joules"):
+        metrics.gauge(f"fleet/{name}").set(getattr(report, name))
+    histogram = metrics.histogram("fleet/instance_finish_seconds")
+    for outcome in report.per_instance:
+        if outcome.finish_seconds > 0.0:
+            histogram.observe(outcome.finish_seconds)
+
+
+class _Run:
+    """The state of one :meth:`FleetSimulator.run`, shared by its handlers.
+
+    Each event handler is a method taking ``(t, instance_id, payload)``,
+    dispatched through the module-level :data:`_ACTIONS` table; the run
+    keeps no bound methods of itself, so it holds no reference cycle and
+    is freed as soon as :meth:`FleetSimulator.run` returns.
+    """
+
+    def __init__(self, sim: FleetSimulator, health: HealthMonitor,
+                 nominal: float, tracer: Optional[Tracer],
+                 monitor: Optional[Monitor]) -> None:
+        self.sim = sim
+        self.health = health
+        self.nominal = nominal
+        self.detection = sim.heartbeat.detection_seconds(nominal)
+        self.warmup = sim.heartbeat.warmup_seconds(nominal)
+        self.tracer = tracer
+        self.monitor = monitor
+        self.events = _EventQueue()
+        self.states: Dict[str, _Sim] = {
+            instance.instance_id: _Sim(instance=instance, rate=rate,
+                                       power_watts=power)
+            for instance, (rate, power) in zip(sim.topology.instances,
+                                               sim._backends)}
+        # Run-wide tallies.
+        self.failures = self.detections = self.brownouts = 0
+        self.reshards = self.retransmissions = 0
+        self.resharded = self.shed = self.backlog = 0.0
+        self.first_failure: Optional[float] = None
+        self.last_recovery_finish = 0.0
+
+    # -- setup and teardown ----------------------------------------------
+
+    def script(self, scenario: Optional[ChaosScenario]) -> None:
+        """Queue the chaos script, spontaneous failures and first tick."""
+        sim, nominal = self.sim, self.nominal
         for event in (scenario.events if scenario is not None else ()):
-            for instance in resolve_target(self.topology, event.target):
-                events.push(event.at_fraction * nominal, event.action,
-                            instance.instance_id, event)
-        spontaneous = self.fault_model.failed_instances(
-            len(self.topology.instances))
-        for index in spontaneous:
-            instance = self.topology.instances[index]
-            at = self.fault_model.failure_fraction() * nominal
-            events.push(at, FAIL, instance.instance_id, None)
-        if monitor is not None:
-            monitor.begin(nominal)
-            for instance_id, state in states.items():
-                state.rate_series = monitor.store.series(
+            for instance in resolve_target(sim.topology, event.target):
+                self.events.push(event.at_fraction * nominal, event.action,
+                                 instance.instance_id, event)
+        for index in sim.fault_model.failed_instances(
+                len(sim.topology.instances)):
+            instance = sim.topology.instances[index]
+            at = sim.fault_model.failure_fraction() * nominal
+            self.events.push(at, FAIL, instance.instance_id, None)
+        if self.monitor is not None:
+            self.monitor.begin(nominal)
+            for instance_id, state in self.states.items():
+                state.rate_series = self.monitor.store.series(
                     f"instance/{instance_id}/rate")
-            events.push(monitor.sample_interval, "sample", "", None)
+            self.events.push(self.monitor.sample_interval, "sample", "",
+                             None)
 
-        # Initial dispatch: the nominal plan, since everyone is healthy.
-        plan = self.nominal_plan(batch)
+    def dispatch(self, plan: SharedPlan) -> None:
+        """Ship the nominal plan's shards at time zero."""
         for assignment in plan.assignments:
-            state = states[assignment.instance_id]
+            state = self.states[assignment.instance_id]
             dispatch = assignment.dispatch_seconds
-            dispatch += self._link_retry_seconds(state, assignment.amount,
-                                                counters)
+            dispatch += self._link_retry_seconds(state, assignment.amount)
             state.allocated = assignment.amount
             state.remaining = assignment.amount
             state.segment_start = dispatch
-            state.eff_rate = state.rate * health.capacity_factor(
-                assignment.instance_id)
-            if tracer is not None:
-                pid, tid = self._span_target(assignment.instance_id)
-                tracer.add_span(
+            self._refresh_rate(state)
+            if self.tracer is not None:
+                pid, tid = state.track
+                self.tracer.add_span(
                     "dispatch", 0.0, dispatch, pid=pid, tid=tid,
                     category="fabric",
-                    tier=self.topology.tier_of(state.instance).value,
+                    tier=self.sim.topology.tier_of(state.instance).value,
                     amount=assignment.amount)
 
-        self._event_loop(states, health, events, nominal, counters,
-                         tracer, monitor)
-
+    def report(self, batch: int,
+               scenario: Optional[ChaosScenario]) -> FleetReport:
+        """Close the books and trace the campaign overview."""
+        sim, states, health = self.sim, self.states, self.health
         makespan = max((state.finish_seconds for state in states.values()),
                        default=0.0)
         slo_outcome: Optional[SloOutcome] = None
-        if monitor is not None:
+        if self.monitor is not None:
             # Close the books at the makespan (or the last tick, if a
             # queued sample already ran past it) so the final budget
             # accounts for the whole run.
-            final_t = max(makespan, monitor.last_tick)
-            self._on_sample(final_t, states, health, counters, monitor,
-                            None)
-            slo_outcome = monitor.finalize(final_t).outcome()
+            final_t = max(makespan, self.monitor.last_tick)
+            self._sample(final_t)
+            slo_outcome = self.monitor.finalize(final_t).outcome()
         completed = sum(state.completed for state in states.values())
         recovery_seconds = 0.0
-        if counters.first_failure is not None and counters.reshards:
+        if self.first_failure is not None and self.reshards:
             recovery_seconds = max(
-                0.0, counters.last_recovery_finish - counters.first_failure)
-        energy = HOST_POWER_WATTS * self.topology.hosts * makespan
+                0.0, self.last_recovery_finish - self.first_failure)
+        energy = HOST_POWER_WATTS * sim.topology.hosts * makespan
         for state in states.values():
             energy += state.power_watts * state.active_seconds
         outcomes = tuple(
@@ -416,346 +471,194 @@ class FleetSimulator:
             for instance_id, state in states.items())
         report = FleetReport(
             scenario=scenario.name if scenario is not None else "none",
-            topology=self.topology.describe(), batch=batch,
-            completed=completed, shed=counters.shed,
-            makespan_seconds=makespan, nominal_makespan_seconds=nominal,
-            reshards=counters.reshards,
-            resharded_inferences=counters.resharded,
-            recovery_seconds=recovery_seconds,
-            failures=counters.failures, detections=counters.detections,
-            brownouts=counters.brownouts,
-            link_retransmissions=counters.retransmissions,
+            topology=sim.topology.describe(), batch=batch,
+            completed=completed, shed=self.shed,
+            makespan_seconds=makespan, nominal_makespan_seconds=self.nominal,
+            reshards=self.reshards, resharded_inferences=self.resharded,
+            recovery_seconds=recovery_seconds, failures=self.failures,
+            detections=self.detections, brownouts=self.brownouts,
+            link_retransmissions=self.retransmissions,
             energy_joules=energy, per_instance=outcomes,
             transitions=tuple(health.transitions), slo=slo_outcome)
-        self._emit_summary(report, states, health, tracer, metrics)
+        if self.tracer is not None:
+            self.tracer.add_span(
+                "fleet_campaign", 0.0, makespan, pid="fleet",
+                tid="overview", category="fleet", scenario=report.scenario,
+                batch=batch, goodput=report.goodput, reshards=self.reshards,
+                nominal_seconds=self.nominal, completed=completed,
+                failures=self.failures)
+            for instance_id in health.open_breakers():
+                pid, tid = states[instance_id].track
+                self.tracer.instant("breaker_open", makespan, pid=pid,
+                                    tid=tid, category="fault")
         return report
 
     # -- event loop ------------------------------------------------------
 
-    def _event_loop(self, states: Dict[str, _Sim],
-                    health: HealthMonitor, events: "_EventQueue",
-                    nominal: float, counters: "_Counters",
-                    tracer: Optional[Tracer],
-                    monitor: Optional[Monitor] = None) -> None:
-        detection = self.heartbeat.detection_seconds(nominal)
-        warmup = self.heartbeat.warmup_seconds(nominal)
+    def loop(self) -> None:
+        """Advance from event to event until nothing runs or is queued."""
+        events = self.events
         while True:
-            next_finish = min(
-                (state.projected_finish for state in states.values()
-                 if state.running), default=None)
+            next_finish, finishing = self._next_finish()
             next_event = events.peek_time()
             if next_finish is None and next_event is None:
                 break
             if next_event is None or (next_finish is not None
                                       and next_finish <= next_event):
-                self._complete_at(next_finish, states, counters, tracer)
+                self._complete(next_finish, finishing)
                 continue
             for action, instance_id, payload in events.pop_at(next_event):
-                t = next_event
-                if action == FAIL:
-                    self._on_fail(t, instance_id, states, health, events,
-                                  detection, counters, tracer,
-                                  scripted=payload is not None,
-                                  monitor=monitor)
-                elif action == "detect":
-                    self._on_detect(t, payload, states, health, events,
-                                    counters, tracer, monitor=monitor)
-                elif action == RECOVER:
-                    self._on_recover(t, instance_id, states, health,
-                                     events, warmup, counters, tracer)
-                elif action == "warmup_done":
-                    self._on_warmup_done(t, instance_id, states, health)
-                elif action == DEGRADE:
-                    self._on_degrade(t, instance_id, states, health,
-                                     payload.factor, reason="scripted",
-                                     monitor=monitor)
-                elif action == UNDEGRADE:
-                    self._on_undegrade(t, instance_id, states, health)
-                elif action == LINK_FLAP:
-                    self._on_flap(t, instance_id, states, health, events,
-                                  payload, nominal, tracer,
-                                  monitor=monitor)
-                elif action == "sample":
-                    self._on_sample(t, states, health, counters, monitor,
-                                    events)
-                elif action == "flap_end":
-                    self._on_flap_end(t, instance_id, states, health,
-                                      tracer)
+                _ACTIONS[action](self, next_event, instance_id, payload)
         # Anything still waiting for capacity that never returned is lost.
-        backlog = counters.backlog
-        if backlog > 0.0:
-            counters.shed += backlog
-            counters.backlog = 0.0
+        self.shed += self.backlog
+        self.backlog = 0.0
 
-    # -- handlers --------------------------------------------------------
+    def _next_finish(self) -> Tuple[Optional[float], List[_Sim]]:
+        """The earliest projected finish and the instances due then."""
+        next_finish: Optional[float] = None
+        finishing: List[_Sim] = []
+        for state in self.states.values():
+            if not state.running:
+                continue
+            finish = state.projected_finish
+            if next_finish is None or finish < next_finish:
+                next_finish, finishing = finish, [state]
+            elif finish == next_finish:
+                finishing.append(state)
+        return next_finish, finishing
 
-    def _span_target(self, instance_id: str) -> Tuple[str, str]:
-        instance = self.topology.by_id(instance_id)
-        return instance.host_id, f"s{instance.slot}"
+    def _complete(self, t: float, finishing: List[_Sim]) -> None:
+        for state in finishing:
+            self._close_segment(state, t)
+            state.remaining = 0.0
+            state.finish_seconds = t
+            if state.has_recovery_work:
+                self.last_recovery_finish = max(self.last_recovery_finish,
+                                                t)
 
-    def _link_retry_seconds(self, state: _Sim, amount: float,
-                            counters: "_Counters") -> float:
+    # -- shared steps ----------------------------------------------------
+
+    def _link_retry_seconds(self, state: _Sim, amount: float) -> float:
         """Fabric retransmission delay drawn from the fault model."""
-        if self.fault_model.rates.link_transient <= 0.0:
+        sim = self.sim
+        if sim.fault_model.rates.link_transient <= 0.0:
             return 0.0
-        errors = self.fault_model.link_transients(int(amount))
+        errors = sim.fault_model.link_transients(int(amount))
         if not errors:
             return 0.0
-        counters.retransmissions += errors
-        tier = self.topology.tier_of(state.instance)
-        return errors * self.fabric.transfer_seconds(self.payload_bytes,
-                                                     tier)
+        self.retransmissions += errors
+        tier = sim.topology.tier_of(state.instance)
+        return errors * sim.fabric.transfer_seconds(sim.payload_bytes, tier)
 
-    def _progress(self, state: _Sim, t: float) -> None:
-        """Fold the current constant-rate segment forward to ``t``."""
-        if state.remaining <= 0.0 or state.eff_rate <= 0.0:
-            state.segment_start = max(state.segment_start, t)
-            return
-        if t <= state.segment_start:
-            return
-        dt = t - state.segment_start
-        done = min(state.remaining, state.eff_rate * dt)
-        state.remaining -= done
-        state.completed += done
-        state.active_seconds += dt
-        state.segment_start = t
-
-    def _close_segment(self, state: _Sim, t: float,
-                       tracer: Optional[Tracer], category: str) -> None:
+    def _close_segment(self, state: _Sim, t: float) -> None:
         """Progress to ``t`` and emit the execution span just finished."""
         start = state.segment_start
-        self._progress(state, t)
-        if tracer is not None and t > start:
-            pid, tid = self._span_target(state.instance.instance_id)
-            tracer.add_span(
+        state.progress(t)
+        if self.tracer is not None and t > start:
+            pid, tid = state.track
+            category = state.category
+            self.tracer.add_span(
                 "recovery_shard" if category == "recovery" else "shard",
                 start, t, pid=pid, tid=tid, category=category,
-                rate=state.eff_rate,
-                backend=state.instance.backend.label)
+                rate=state.eff_rate, backend=state.instance.backend.label)
 
-    def _refresh_rate(self, state: _Sim, health: HealthMonitor) -> None:
-        state.eff_rate = state.rate * health.capacity_factor(
+    def _refresh_rate(self, state: _Sim) -> None:
+        state.eff_rate = state.rate * self.health.capacity_factor(
             state.instance.instance_id)
 
-    def _complete_at(self, t: float, states: Dict[str, _Sim],
-                     counters: "_Counters",
-                     tracer: Optional[Tracer]) -> None:
-        for state in states.values():
-            if state.running and state.projected_finish == t:
-                category = ("recovery" if state.has_recovery_work
-                            else "shard")
-                self._close_segment(state, t, tracer, category)
-                state.remaining = 0.0
-                state.finish_seconds = t
-                if state.has_recovery_work:
-                    counters.last_recovery_finish = max(
-                        counters.last_recovery_finish, t)
+    def _transition(self, t: float, state: _Sim, to_state: HealthState,
+                    reason: str,
+                    degraded_factor: Optional[float] = None) -> None:
+        """Move a health state machine and trace it on its track."""
+        instance_id = state.instance.instance_id
+        self.health.transition(instance_id, to_state, t, reason=reason,
+                               degraded_factor=degraded_factor)
+        if self.tracer is not None:
+            pid, tid = state.track
+            self.tracer.instant(
+                f"health:{to_state.value}", t, pid=pid, tid=tid,
+                category="health",
+                from_state=self.health.transitions[-1].from_state.value,
+                reason=reason)
 
-    def _on_fail(self, t: float, instance_id: str,
-                 states: Dict[str, _Sim], health: HealthMonitor,
-                 events: "_EventQueue", detection: float,
-                 counters: "_Counters", tracer: Optional[Tracer],
-                 scripted: bool,
-                 monitor: Optional[Monitor] = None) -> None:
-        if health.state(instance_id) is HealthState.DEAD:
-            return
-        if monitor is not None:
-            monitor.mark(t, "fault", instance_id)
-        state = states[instance_id]
-        self._close_segment(state, t, tracer,
-                            "recovery" if state.has_recovery_work
-                            else "shard")
-        state.lost = state.remaining
-        state.remaining = 0.0
-        state.eff_rate = 0.0
-        state.finish_seconds = max(state.finish_seconds, t)
-        health.transition(instance_id, HealthState.DEAD, t,
-                           reason="scripted" if scripted else "spontaneous")
-        counters.failures += 1
-        if counters.first_failure is None:
-            counters.first_failure = t
-        events.push(t + detection, "detect", instance_id, instance_id)
-        if tracer is not None:
-            pid, tid = self._span_target(instance_id)
-            tracer.instant("instance_failure", t, pid=pid, tid=tid,
-                           category="fault", lost=state.lost)
-            tracer.add_span("detection_window", t, t + detection, pid=pid,
-                            tid=tid, category="fault")
+    def _rerate(self, t: float, instance_id: str, to_state: HealthState,
+                reason: str, degraded_factor: Optional[float] = None
+                ) -> None:
+        """Drain at the old rate to ``t``, transition, drain at the new."""
+        state = self.states[instance_id]
+        state.progress(t)
+        self._transition(t, state, to_state, reason, degraded_factor)
+        self._refresh_rate(state)
 
-    def _on_detect(self, t: float, instance_id: str,
-                   states: Dict[str, _Sim], health: HealthMonitor,
-                   events: "_EventQueue", counters: "_Counters",
-                   tracer: Optional[Tracer],
-                   monitor: Optional[Monitor] = None) -> None:
-        if monitor is not None:
-            monitor.mark(t, "detection", instance_id)
-        state = states[instance_id]
-        lost, state.lost = state.lost, 0.0
-        if tracer is not None:
-            tracer.instant("failure_detected", t, pid="fleet",
-                           tid="scheduler", category="fault",
-                           instance=instance_id, lost=lost)
-        if lost <= 0.0:
-            return
-        counters.detections += 1
-        self._reshard(t, lost, states, health, events, counters, tracer,
-                      exclude=(instance_id,))
-
-    def _reshard(self, t: float, work: float, states: Dict[str, _Sim],
-                 health: HealthMonitor, events: "_EventQueue",
-                 counters: "_Counters", tracer: Optional[Tracer],
+    def _reshard(self, t: float, work: float,
                  exclude: Tuple[str, ...] = ()) -> None:
-        if health.alive_count() < self.policy.min_survivors:
-            counters.backlog += work
+        tracer = self.tracer
+        if self.health.alive_count() < self.sim.policy.min_survivors:
+            self.backlog += work
             if tracer is not None:
                 tracer.instant("outage", t, pid="fleet", tid="scheduler",
                                category="fault", backlog=work)
             return
-        plan = self.scheduler.plan(work, health, exclude=exclude,
-                                   integral=False)
+        plan = self.sim.scheduler.plan(work, self.health, exclude=exclude,
+                                       integral=False)
         if plan is None or not plan.assignments:
-            counters.backlog += work
+            self.backlog += work
             return
         if plan.brownout:
-            counters.brownouts += 1
-            counters.shed += plan.shed
+            self.brownouts += 1
+            self.shed += plan.shed
             if tracer is not None:
                 tracer.instant(
                     "brownout_shed", t, pid="fleet", tid="scheduler",
                     category="fault", shed=plan.shed,
                     capacity_fraction=plan.capacity_fraction)
-        counters.reshards += len(plan.assignments)
-        counters.resharded += plan.total
+        self.reshards += len(plan.assignments)
+        self.resharded += plan.total
         if tracer is not None:
             tracer.instant("reshard", t, pid="fleet", tid="scheduler",
                            category="recovery", work=plan.total,
                            targets=len(plan.assignments))
         for assignment in plan.assignments:
-            target = states[assignment.instance_id]
+            target = self.states[assignment.instance_id]
             target.has_recovery_work = True
             target.allocated += assignment.amount
             if target.running:
                 # Transfer overlaps the work already draining.
-                self._progress(target, t)
+                target.progress(t)
                 target.remaining += assignment.amount
             else:
                 dispatch = assignment.dispatch_seconds
-                dispatch += self._link_retry_seconds(
-                    target, assignment.amount, counters)
+                dispatch += self._link_retry_seconds(target,
+                                                     assignment.amount)
                 target.remaining = assignment.amount
                 target.segment_start = t + dispatch
-                self._refresh_rate(target, health)
+                self._refresh_rate(target)
                 if tracer is not None:
-                    pid, tid = self._span_target(assignment.instance_id)
+                    pid, tid = target.track
                     tracer.add_span(
                         "dispatch", t, t + dispatch, pid=pid, tid=tid,
                         category="fabric", amount=assignment.amount,
-                        tier=self.topology.tier_of(
+                        tier=self.sim.topology.tier_of(
                             target.instance).value)
 
-    def _on_recover(self, t: float, instance_id: str,
-                    states: Dict[str, _Sim], health: HealthMonitor,
-                    events: "_EventQueue", warmup: float,
-                    counters: "_Counters",
-                    tracer: Optional[Tracer]) -> None:
-        if health.state(instance_id) is not HealthState.DEAD:
-            return
-        health.transition(instance_id, HealthState.RECOVERING, t,
-                           reason="restart")
-        events.push(t + warmup, "warmup_done", instance_id, None)
-        state = states[instance_id]
-        self._refresh_rate(state, health)
-        if counters.backlog > 0.0:
-            backlog, counters.backlog = counters.backlog, 0.0
-            self._reshard(t, backlog, states, health, events, counters,
-                          tracer)
+    def _sample(self, t: float) -> bool:
+        """Read-only monitoring tick; True while any instance drains.
 
-    def _on_warmup_done(self, t: float, instance_id: str,
-                        states: Dict[str, _Sim],
-                        health: HealthMonitor) -> None:
-        if health.state(instance_id) is not HealthState.RECOVERING:
-            return
-        state = states[instance_id]
-        self._progress(state, t)
-        health.transition(instance_id, HealthState.HEALTHY, t,
-                           reason="warmup_complete")
-        self._refresh_rate(state, health)
-
-    def _on_degrade(self, t: float, instance_id: str,
-                    states: Dict[str, _Sim], health: HealthMonitor,
-                    factor: float, reason: str,
-                    monitor: Optional[Monitor] = None) -> None:
-        if health.state(instance_id) not in (HealthState.HEALTHY,
-                                              HealthState.DEGRADED):
-            return
-        if monitor is not None:
-            monitor.mark(t, "fault", instance_id)
-        state = states[instance_id]
-        self._progress(state, t)
-        health.transition(instance_id, HealthState.DEGRADED, t,
-                           reason=reason, degraded_factor=factor)
-        self._refresh_rate(state, health)
-
-    def _on_undegrade(self, t: float, instance_id: str,
-                      states: Dict[str, _Sim],
-                      health: HealthMonitor) -> None:
-        if health.state(instance_id) is not HealthState.DEGRADED:
-            return
-        state = states[instance_id]
-        self._progress(state, t)
-        health.transition(instance_id, HealthState.HEALTHY, t,
-                           reason="undegrade")
-        self._refresh_rate(state, health)
-
-    def _on_flap(self, t: float, instance_id: str,
-                 states: Dict[str, _Sim], health: HealthMonitor,
-                 events: "_EventQueue", event, nominal: float,
-                 tracer: Optional[Tracer],
-                 monitor: Optional[Monitor] = None) -> None:
-        if monitor is not None:
-            monitor.mark(t, "fault", instance_id)
-        state = states[instance_id]
-        self._progress(state, t)
-        health.set_link_factor(instance_id, event.factor)
-        if health.state(instance_id) is HealthState.HEALTHY:
-            # The flap shows as degraded health; capacity loss comes
-            # from the link factor alone (degraded_factor=1.0).
-            health.transition(instance_id, HealthState.DEGRADED, t,
-                               reason="link_flap", degraded_factor=1.0)
-        self._refresh_rate(state, health)
-        events.push(t + event.duration_fraction * nominal, "flap_end",
-                    instance_id, None)
-        if tracer is not None:
-            pid, tid = self._span_target(instance_id)
-            tracer.add_span(
-                "link_flap", t, t + event.duration_fraction * nominal,
-                pid=pid, tid=tid, category="fault", factor=event.factor)
-
-    def _on_sample(self, t: float, states: Dict[str, _Sim],
-                   health: HealthMonitor, counters: "_Counters",
-                   monitor: Optional[Monitor],
-                   events: Optional["_EventQueue"]) -> None:
-        """Read-only monitoring tick: sample series, feed SLOs, alert.
-
-        This handler must never touch simulation state — in particular
-        it must not call :meth:`_progress` (which folds segments and
-        would perturb floating-point accumulation order).  In-flight
-        work is estimated read-only from each instance's current
-        constant-rate segment, which is exact under the fluid model.
-        The per-instance rate series are resolved once per run (see
-        :meth:`run`) and the full-health fleet rate once per simulator,
-        so a tick costs one pass over the instances.
+        It must never call :meth:`_Sim.progress`, which folds segments
+        and would perturb floating-point accumulation order: in-flight
+        work is estimated from each instance's current constant-rate
+        segment, exact under the fluid model.  A tick costs one pass
+        over the instances (rate series resolved in :meth:`script`).
         """
-        if monitor is None:
-            return
-        total_rate = self._total_rate
+        monitor, health = self.monitor, self.health
+        total_rate = self.sim._total_rate
         healthy_rate = sum(
             state.rate * health.capacity_factor(instance_id)
-            for instance_id, state in states.items())
+            for instance_id, state in self.states.items())
         capacity = healthy_rate / total_rate if total_rate > 0.0 else 0.0
         completed = 0.0
         busy = False
-        for state in states.values():
+        for state in self.states.values():
             completed += state.completed
             if state.running:
                 busy = True
@@ -767,85 +670,140 @@ class FleetSimulator:
         monitor.record(t, "fleet/capacity_fraction", capacity)
         monitor.record(t, "fleet/completed", completed)
         monitor.record(t, "fleet/alive", float(health.alive_count()))
-        monitor.record(t, "fleet/shed", counters.shed)
-        monitor.record(t, "fleet/backlog", counters.backlog)
-        monitor.record(t, "fleet/failures", float(counters.failures))
-        monitor.record(t, "fleet/reshards", float(counters.reshards))
+        monitor.record(t, "fleet/shed", self.shed)
+        monitor.record(t, "fleet/backlog", self.backlog)
+        monitor.record(t, "fleet/failures", float(self.failures))
+        monitor.record(t, "fleet/reshards", float(self.reshards))
         monitor.record(t, "fleet/link_retransmissions",
-                       float(counters.retransmissions))
+                       float(self.retransmissions))
         monitor.slo_event(t, "availability", good=capacity,
                           bad=1.0 - capacity)
         monitor.evaluate(t)
-        if events is not None and (busy or events.peek_time() is not None):
-            events.push(t + monitor.sample_interval, "sample", "", None)
+        return busy
 
-    def _on_flap_end(self, t: float, instance_id: str,
-                     states: Dict[str, _Sim], health: HealthMonitor,
-                     tracer: Optional[Tracer]) -> None:
-        state = states[instance_id]
-        self._progress(state, t)
-        health.set_link_factor(instance_id, 1.0)
-        if health.state(instance_id) is HealthState.DEGRADED:
-            last = health.transitions_of(instance_id)[-1]
-            if last.reason == "link_flap":
-                health.transition(instance_id, HealthState.HEALTHY, t,
-                                   reason="link_flap_cleared")
-        self._refresh_rate(state, health)
+    # -- handlers: (t, instance_id, payload) -----------------------------
 
-    # -- reporting -------------------------------------------------------
-
-    def _emit_summary(self, report: FleetReport, states: Dict[str, _Sim],
-                      health: HealthMonitor, tracer: Optional[Tracer],
-                      metrics: Optional[MetricsRegistry]) -> None:
-        if tracer is not None:
-            tracer.add_span(
-                "fleet_campaign", 0.0, report.makespan_seconds,
-                pid="fleet", tid="overview", category="fleet",
-                scenario=report.scenario, batch=report.batch,
-                goodput=report.goodput, reshards=report.reshards,
-                nominal_seconds=report.nominal_makespan_seconds,
-                completed=report.completed, failures=report.failures)
-            for instance_id in health.open_breakers():
-                pid, tid = self._span_target(instance_id)
-                tracer.instant("breaker_open", report.makespan_seconds,
-                               pid=pid, tid=tid, category="fault")
-        if metrics is None:
+    def _on_fail(self, t: float, instance_id: str, payload) -> None:
+        """A hard failure; ``payload`` is the chaos event, if scripted."""
+        if self.health.state(instance_id) is HealthState.DEAD:
             return
-        metrics.counter("fleet/completed").inc(report.completed)
-        metrics.counter("fleet/shed").inc(report.shed)
-        metrics.counter("fleet/reshards").inc(report.reshards)
-        metrics.counter("fleet/failures").inc(report.failures)
-        metrics.counter("fleet/detections").inc(report.detections)
-        metrics.counter("fleet/brownouts").inc(report.brownouts)
-        metrics.counter("fleet/link_retransmissions").inc(
-            report.link_retransmissions)
-        metrics.gauge("fleet/goodput").set(report.goodput)
-        metrics.gauge("fleet/availability").set(report.availability)
-        metrics.gauge("fleet/recovery_seconds").set(
-            report.recovery_seconds)
-        metrics.gauge("fleet/makespan_seconds").set(
-            report.makespan_seconds)
-        metrics.gauge("fleet/energy_joules").set(report.energy_joules)
-        histogram = metrics.histogram("fleet/instance_finish_seconds")
-        for state in states.values():
-            if state.finish_seconds > 0.0:
-                histogram.observe(state.finish_seconds)
+        if self.monitor is not None:
+            self.monitor.mark(t, "fault", instance_id)
+        state = self.states[instance_id]
+        self._close_segment(state, t)
+        state.lost = state.remaining
+        state.remaining = 0.0
+        state.eff_rate = 0.0
+        state.finish_seconds = max(state.finish_seconds, t)
+        self._transition(t, state, HealthState.DEAD,
+                         "scripted" if payload is not None
+                         else "spontaneous")
+        self.failures += 1
+        if self.first_failure is None:
+            self.first_failure = t
+        self.events.push(t + self.detection, "detect", instance_id, None)
+        if self.tracer is not None:
+            pid, tid = state.track
+            self.tracer.instant("instance_failure", t, pid=pid, tid=tid,
+                                category="fault", lost=state.lost)
+            self.tracer.add_span("detection_window", t, t + self.detection,
+                                 pid=pid, tid=tid, category="fault")
+
+    def _on_detect(self, t: float, instance_id: str, payload) -> None:
+        if self.monitor is not None:
+            self.monitor.mark(t, "detection", instance_id)
+        state = self.states[instance_id]
+        lost, state.lost = state.lost, 0.0
+        if self.tracer is not None:
+            self.tracer.instant("failure_detected", t, pid="fleet",
+                                tid="scheduler", category="fault",
+                                instance=instance_id, lost=lost)
+        if lost <= 0.0:
+            return
+        self.detections += 1
+        self._reshard(t, lost, exclude=(instance_id,))
+
+    def _on_recover(self, t: float, instance_id: str, payload) -> None:
+        if self.health.state(instance_id) is not HealthState.DEAD:
+            return
+        state = self.states[instance_id]
+        self._transition(t, state, HealthState.RECOVERING, "restart")
+        self.events.push(t + self.warmup, "warmup_done", instance_id, None)
+        self._refresh_rate(state)
+        if self.backlog > 0.0:
+            backlog, self.backlog = self.backlog, 0.0
+            self._reshard(t, backlog)
+
+    def _on_warmup_done(self, t: float, instance_id: str, payload) -> None:
+        if self.health.state(instance_id) is HealthState.RECOVERING:
+            self._rerate(t, instance_id, HealthState.HEALTHY,
+                         "warmup_complete")
+
+    def _on_degrade(self, t: float, instance_id: str, payload) -> None:
+        """A scripted slowdown by the chaos event's ``factor``."""
+        if self.health.state(instance_id) not in (HealthState.HEALTHY,
+                                                   HealthState.DEGRADED):
+            return
+        if self.monitor is not None:
+            self.monitor.mark(t, "fault", instance_id)
+        self._rerate(t, instance_id, HealthState.DEGRADED, "scripted",
+                     payload.factor)
+
+    def _on_undegrade(self, t: float, instance_id: str, payload) -> None:
+        if self.health.state(instance_id) is HealthState.DEGRADED:
+            self._rerate(t, instance_id, HealthState.HEALTHY, "undegrade")
+
+    def _on_flap(self, t: float, instance_id: str, payload) -> None:
+        """A link flap: the chaos event's ``factor`` for its duration."""
+        if self.monitor is not None:
+            self.monitor.mark(t, "fault", instance_id)
+        state = self.states[instance_id]
+        state.progress(t)
+        self.health.set_link_factor(instance_id, payload.factor)
+        if self.health.state(instance_id) is HealthState.HEALTHY:
+            # The flap shows as degraded health; capacity loss comes
+            # from the link factor alone (degraded_factor=1.0).
+            self._transition(t, state, HealthState.DEGRADED, "link_flap",
+                             1.0)
+        self._refresh_rate(state)
+        end = t + payload.duration_fraction * self.nominal
+        self.events.push(end, "flap_end", instance_id, None)
+        if self.tracer is not None:
+            pid, tid = state.track
+            self.tracer.add_span("link_flap", t, end, pid=pid, tid=tid,
+                                 category="fault", factor=payload.factor)
+
+    def _on_flap_end(self, t: float, instance_id: str, payload) -> None:
+        state = self.states[instance_id]
+        state.progress(t)
+        self.health.set_link_factor(instance_id, 1.0)
+        if self.health.state(instance_id) is HealthState.DEGRADED:
+            last = self.health.transitions_of(instance_id)[-1]
+            if last.reason == "link_flap":
+                self._transition(t, state, HealthState.HEALTHY,
+                                 "link_flap_cleared")
+        self._refresh_rate(state)
+
+    def _on_sample(self, t: float, instance_id: str, payload) -> None:
+        """A monitoring tick; the next is queued while anything is left."""
+        if self._sample(t) or self.events.peek_time() is not None:
+            self.events.push(t + self.monitor.sample_interval, "sample",
+                             "", None)
 
 
-@dataclass
-class _Counters:
-    """Run-wide mutable accounting shared by the handlers."""
-
-    failures: int = 0
-    detections: int = 0
-    reshards: int = 0
-    resharded: float = 0.0
-    brownouts: int = 0
-    retransmissions: int = 0
-    shed: float = 0.0
-    backlog: float = 0.0
-    first_failure: Optional[float] = None
-    last_recovery_finish: float = 0.0
+#: Event action -> handler, each called as ``handler(run, t, instance_id,
+#: payload)``; the payload is the scripted chaos event, if any.
+_ACTIONS = {
+    FAIL: _Run._on_fail,
+    "detect": _Run._on_detect,
+    RECOVER: _Run._on_recover,
+    "warmup_done": _Run._on_warmup_done,
+    DEGRADE: _Run._on_degrade,
+    UNDEGRADE: _Run._on_undegrade,
+    LINK_FLAP: _Run._on_flap,
+    "flap_end": _Run._on_flap_end,
+    "sample": _Run._on_sample,
+}
 
 
 class _EventQueue:

@@ -83,7 +83,9 @@ class SequenceGenerator:
                       else sorted(set(positions)))
         if num_mutations > len(candidates):
             raise ValueError("cannot mutate more positions than candidates")
-        if any(not 0 <= p < len(sequence) for p in candidates):
+        # Sorted, so the two ends bound every candidate.
+        if candidates and not (0 <= candidates[0]
+                               and candidates[-1] < len(sequence)):
             raise ValueError("mutation position out of range")
         residues = list(sequence)
         chosen = self._rng.choice(candidates, size=num_mutations,

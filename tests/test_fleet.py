@@ -1,5 +1,8 @@
 """Tests for the fleet simulator: topology, health, scheduling, chaos."""
 
+import gc
+import hashlib
+import json
 import pickle
 
 import pytest
@@ -24,14 +27,16 @@ from repro.fleet import (
     resolve_target,
 )
 from repro.fleet.health import _ALLOWED
+from repro.fleet import simulator as simulator_module
+from repro.fleet.simulator import record_metrics
 from repro.model.config import protein_bert_tiny
+from repro.monitor import fleet_monitor
 from repro.reliability import (
     DegradationPolicy,
     FaultModel,
     FaultRates,
-    RetryPolicy,
 )
-from repro.telemetry import MetricsRegistry, Tracer
+from repro.telemetry import MetricsRegistry, Tracer, to_chrome_trace
 
 TINY = protein_bert_tiny()
 
@@ -278,6 +283,27 @@ class TestScheduler:
         assert all(amount == int(amount)
                    for amount in (a.amount for a in plan.assignments))
 
+    def test_assignments_carry_their_placement_weight(self):
+        scheduler, topology = self.scheduler()
+        monitor = HealthMonitor([i.instance_id
+                                 for i in topology.instances])
+        monitor.transition("r0h1s0", HealthState.DEGRADED, 0.0,
+                           degraded_factor=0.25)
+        monitor.set_link_factor("r1h0s0", 0.5)
+        for integral in (True, False):
+            plan = scheduler.plan(101.0, monitor, exclude=("r1h1s0",),
+                                  integral=integral)
+            assert [a.instance_id for a in plan.assignments] == [
+                "r0h0s0", "r0h1s0", "r1h0s0"]
+            for assignment in plan.assignments:
+                rate = 100.0 * monitor.capacity_factor(
+                    assignment.instance_id)
+                streaming = 1e8 / scheduler.fabric.bandwidth(
+                    topology.tier_of(topology.by_id(
+                        assignment.instance_id)))
+                assert assignment.effective_rate == 1.0 / (
+                    1.0 / rate + streaming)
+
     def test_topology_penalty_shifts_work_to_near_instances(self):
         scheduler, topology = self.scheduler()
         monitor = HealthMonitor([i.instance_id
@@ -499,13 +525,6 @@ class TestFleetSimulatorChaos:
         assert report.completed < 64.0
         assert report.completed + report.shed == pytest.approx(64.0)
 
-    def test_retry_policy_interplay_validated_at_run(self):
-        simulator = tiny_simulator(
-            retry_policy=RetryPolicy(backoff_base_seconds=1e6,
-                                     backoff_cap_seconds=1e6))
-        with pytest.raises(ValueError, match="straggler deadline"):
-            simulator.run(batch=32)
-
     def test_telemetry_spans_and_metrics(self):
         topology = build_fleet(racks=2, hosts_per_rack=2,
                                instances_per_host=2)
@@ -514,7 +533,8 @@ class TestFleetSimulatorChaos:
         metrics = MetricsRegistry()
         report = simulator.run(
             batch=64, scenario=build_scenario("rack_power_loss", topology),
-            tracer=tracer, metrics=metrics)
+            tracer=tracer)
+        record_metrics(report, metrics)
         names = {span.name for span in tracer.spans}
         assert {"dispatch", "shard", "detection_window", "recovery_shard",
                 "fleet_campaign"} <= names
@@ -540,3 +560,111 @@ class TestFleetSimulatorChaos:
         report = tiny_simulator().run(batch=32)
         summary = report.summary()
         assert "goodput=" in summary and "availability=" in summary
+
+
+#: Degradation policies the parity golden sweeps: the default, a
+#: brownout floor with a one-strike breaker, and an outage floor.
+PARITY_POLICIES = (
+    DegradationPolicy(),
+    DegradationPolicy(min_capacity_fraction=0.6, circuit_breaker_failures=1),
+    DegradationPolicy(min_survivors=7),
+)
+
+#: Inert faults, and spontaneous failures plus fabric transients.
+PARITY_FAULTS = (
+    FaultRates(),
+    FaultRates(instance_failure=0.3, link_transient=0.05),
+)
+
+PARITY_SCENARIOS = (None, "rack_power_loss", "link_flap_storm",
+                    "slow_node", "rolling_restart")
+
+
+def fleet_parity_digest():
+    """SHA-256 over every observable output of a grid of fleet runs.
+
+    The baseline and the four chaos scenarios, on a homogeneous and a
+    heterogeneous fleet, under each parity policy and fault setting.
+    Each run carries a tracer, a live monitor and a metrics registry;
+    the digest covers ``repr`` of the report, the chrome-trace JSON, the
+    metric rows and every monitor sample, so every float bit counts.
+    """
+    digest = hashlib.sha256()
+    for heterogeneous in (False, True):
+        topology = build_fleet(racks=2, hosts_per_rack=2,
+                               instances_per_host=2,
+                               heterogeneous=heterogeneous)
+        for policy in PARITY_POLICIES:
+            for index, rates in enumerate(PARITY_FAULTS):
+                for name in PARITY_SCENARIOS:
+                    simulator = tiny_simulator(
+                        topology, policy=policy,
+                        fault_model=FaultModel(rates, seed=11 + index))
+                    scenario = (build_scenario(name, topology)
+                                if name else None)
+                    tracer, metrics = Tracer(), MetricsRegistry()
+                    monitor = fleet_monitor(samples=32)
+                    report = simulator.run(batch=64, scenario=scenario,
+                                           tracer=tracer, monitor=monitor)
+                    record_metrics(report, metrics)
+                    lines = [repr(report),
+                             json.dumps(to_chrome_trace(tracer)),
+                             repr(metrics.rows())]
+                    for series in monitor.store:
+                        lines.append(f"{series.name} {series.dropped} "
+                                     f"{list(series.samples())!r}")
+                    lines.append(repr(monitor.report()))
+                    digest.update(("\n".join(lines) + "\n").encode("utf-8"))
+    return digest.hexdigest()
+
+
+#: Recorded before the fleet simulator's run state was restructured.
+FLEET_PARITY_DIGEST = (
+    "81b83754691d08b77240b359278f61be05246b41967eb3245573f089572a96d8")
+
+
+class TestFleetParityGolden:
+    def test_fleet_runs_are_bit_identical(self):
+        assert fleet_parity_digest() == FLEET_PARITY_DIGEST
+
+
+class TestRunState:
+    def test_run_builds_one_health_monitor_and_one_plan(self, monkeypatch):
+        built = []
+
+        class CountingHealthMonitor(HealthMonitor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simulator_module, "HealthMonitor",
+                            CountingHealthMonitor)
+        simulator = tiny_simulator()
+        plans = []
+        plan = simulator.scheduler.plan
+
+        def counting_plan(*args, **kwargs):
+            plans.append(args)
+            return plan(*args, **kwargs)
+
+        monkeypatch.setattr(simulator.scheduler, "plan", counting_plan)
+        report = simulator.run(batch=64)
+        assert report.reshards == 0
+        assert len(built) == 1 and len(plans) == 1
+
+    def test_run_state_is_freed_without_cyclic_gc(self):
+        topology = build_fleet(racks=2, hosts_per_rack=2,
+                               instances_per_host=2)
+        simulator = tiny_simulator(topology)
+        gc.collect()
+        gc.disable()
+        try:
+            simulator.run(batch=64,
+                          scenario=build_scenario("rack_power_loss",
+                                                  topology),
+                          tracer=Tracer(), monitor=fleet_monitor())
+            leaked = [obj for obj in gc.get_objects()
+                      if isinstance(obj, simulator_module._Run)]
+        finally:
+            gc.enable()
+        assert leaked == []

@@ -81,6 +81,11 @@ class TestMutate:
         with pytest.raises(ValueError):
             generator.mutate("MEYQ", 1, positions=[9])
 
+    def test_negative_positions_rejected(self):
+        generator = SequenceGenerator(seed=0)
+        with pytest.raises(ValueError, match="out of range"):
+            generator.mutate("MEYQ", 1, positions=[2, -1])
+
     @given(st.integers(min_value=0, max_value=10))
     @settings(max_examples=20, deadline=None)
     def test_mutant_stays_valid(self, count):
